@@ -3,16 +3,14 @@ package autoscaler
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/jobservice"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
+	"repro/internal/workpool"
 )
 
 // Alert is raised when the scaler needs an operator: untriaged problems
@@ -59,7 +57,7 @@ type Options struct {
 	// computed against.
 	ContainerCapacity config.Resources
 	// ScanParallelism bounds the worker pool a Scan spreads per-job
-	// decisions over (default: GOMAXPROCS, capped at 16). Signal
+	// decisions over (default: workpool.DefaultParallelism). Signal
 	// gathering and deciding are independent per job; shared scaler state
 	// stays behind the scaler's lock. 1 scans sequentially.
 	ScanParallelism int
@@ -118,10 +116,7 @@ func (o *Options) fillDefaults() {
 		o.ContainerCapacity = config.Resources{CPUCores: 40, MemoryBytes: 200 << 30}
 	}
 	if o.ScanParallelism <= 0 {
-		o.ScanParallelism = runtime.GOMAXPROCS(0)
-		if o.ScanParallelism > 16 {
-			o.ScanParallelism = 16
-		}
+		o.ScanParallelism = workpool.DefaultParallelism()
 	}
 }
 
@@ -152,6 +147,15 @@ type Scaler struct {
 	state  map[string]*jobState
 	stats  Stats
 	ticker simclock.Ticker
+
+	// Scan machinery, serialized by scanMu: the pool, the pre-bound
+	// per-index closure, and the scan's job list and per-index results,
+	// reused scan over scan.
+	scanMu   sync.Mutex
+	wp       workpool.Pool
+	scanFn   func(int)
+	scanJobs []string
+	scanOut  []Action
 }
 
 // New builds a Scaler. rebalancer and authorizer may be nil (no input
@@ -167,7 +171,7 @@ func New(jobs *jobservice.Service, source SignalSource, store *metrics.Store,
 	if opts.HistoryHorizonHours > 0 {
 		pattern.HorizonHours = opts.HistoryHorizonHours
 	}
-	return &Scaler{
+	s := &Scaler{
 		jobs:       jobs,
 		source:     source,
 		pattern:    pattern,
@@ -177,6 +181,8 @@ func New(jobs *jobservice.Service, source SignalSource, store *metrics.Store,
 		authorizer: authorizer,
 		state:      make(map[string]*jobState),
 	}
+	s.scanFn = func(i int) { s.scanOut[i] = s.scanJob(s.scanJobs[i]) }
+	return s
 }
 
 // Pattern exposes the analyzer for tuning (experiments adjust horizons).
@@ -229,55 +235,21 @@ func (s *Scaler) PEstimate(job string) (float64, bool) {
 // Syncer parallelizes complex plans, while the per-job state map and the
 // cumulative stats stay behind the scaler's lock. The returned actions
 // are in JobNames order regardless of worker interleaving, so scans stay
-// deterministic for a given fleet state.
+// deterministic for a given fleet state. Concurrent calls are serialized.
 func (s *Scaler) Scan() []Action {
-	jobs := s.source.JobNames()
-	workers := s.opts.ScanParallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	s.scanJobs = s.source.JobNames()
+	n := len(s.scanJobs)
+	if cap(s.scanOut) < n {
+		s.scanOut = make([]Action, n)
 	}
+	s.scanOut = s.scanOut[:n]
+	s.wp.ForEach(n, s.opts.ScanParallelism, 0, s.scanFn)
 	var actions []Action
-	if workers <= 1 {
-		for _, job := range jobs {
-			if a := s.scanJob(job); a.Type != ActionNone {
-				actions = append(actions, a)
-			}
-		}
-	} else {
-		// Workers keep sparse (index, action) results so a mostly-healthy
-		// fleet allocates nothing per job; the merge re-establishes
-		// JobNames order.
-		type indexed struct {
-			i int
-			a Action
-		}
-		perWorker := make([][]indexed, workers)
-		var next int64 = -1 // work-stealing index: decisions vary in cost
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(jobs) {
-						return
-					}
-					if a := s.scanJob(jobs[i]); a.Type != ActionNone {
-						perWorker[w] = append(perWorker[w], indexed{i: i, a: a})
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		var all []indexed
-		for _, rs := range perWorker {
-			all = append(all, rs...)
-		}
-		sort.Slice(all, func(x, y int) bool { return all[x].i < all[y].i })
-		for _, r := range all {
-			actions = append(actions, r.a)
+	for _, a := range s.scanOut {
+		if a.Type != ActionNone {
+			actions = append(actions, a)
 		}
 	}
 	s.mu.Lock()

@@ -389,10 +389,6 @@ func sameMap(a, b Doc) bool {
 	return a != nil && b != nil && reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }
 
-func sortedKeysOf(d Doc) []string {
-	return appendSortedKeys(nil, d)
-}
-
 // appendSortedKeys appends d's keys to buf in sorted order (the appended
 // run is sorted; buf's existing contents are untouched).
 func appendSortedKeys(buf []string, d Doc) []string {

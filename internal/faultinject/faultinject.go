@@ -14,7 +14,6 @@ package faultinject
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net"
 	"os"
 	"sort"
@@ -23,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/fnv1a"
 	"repro/internal/jobstore"
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
@@ -224,22 +224,8 @@ func (in *Injector) TraceKeys() []string {
 // same call draw independently — otherwise a low-rate rule listed after
 // a higher-rate rule on the same op could never fire.
 func fnv64(seed uint64, op Op, key string, call, rule uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	put(seed)
-	h.Write([]byte(op))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	h.Write([]byte{0})
-	put(call)
-	put(rule)
-	return h.Sum64()
+	h := fnv1a.New64().AddUint64(seed).AddString(string(op)).AddByte(0).AddString(key).AddByte(0)
+	return uint64(h.AddUint64(call).AddUint64(rule))
 }
 
 // decide runs the per-call decision and, if a rule fires, records the

@@ -1,8 +1,10 @@
 package jobstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -148,40 +150,60 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	}
 }
 
-func TestRestoreLegacySnapshotMarksEverythingDirty(t *testing.T) {
-	s := New()
-	if err := s.Create("keep", config.Doc{"taskCount": 1}); err != nil {
+func TestRestoreRejectsUnsupportedSchema(t *testing.T) {
+	src := New()
+	if err := src.Create("incoming", config.Doc{"taskCount": 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CommitRunning("keep", config.Doc{"taskCount": 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	s.DrainDirty() // converged: nothing dirty at snapshot time
-	data, err := s.Snapshot()
+	data, err := src.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Strip the schema-2 fields, simulating a snapshot from before they
-	// existed: the restore must fall back to marking every job dirty.
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	delete(m, "schema")
-	delete(m, "dirty")
-	delete(m, "sync")
-	legacy, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	s2 := New()
-	if err := s2.Restore(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.DrainDirty(); !reflect.DeepEqual(got, []string{"keep"}) {
-		t.Fatalf("legacy restore dirty = %v, want [keep]", got)
+	for _, tc := range []struct {
+		name   string
+		schema json.RawMessage // nil: field absent
+	}{
+		{"absent", nil},
+		{"1", json.RawMessage("1")},
+		{"next", json.RawMessage(fmt.Sprint(snapshotSchema + 1))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			delete(m, "schema")
+			if tc.schema != nil {
+				m["schema"] = tc.schema
+			}
+			bad, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dst := New()
+			if err := dst.Create("keep", config.Doc{"taskCount": 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.CommitRunning("keep", config.Doc{"taskCount": 1}, 1); err != nil {
+				t.Fatal(err)
+			}
+			before, err := dst.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Restore(bad); err == nil {
+				t.Fatalf("Restore accepted schema %s", tc.name)
+			}
+			after, err := dst.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("rejected restore changed the store:\nbefore %s\nafter  %s", before, after)
+			}
+		})
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/fnv1a"
 )
 
 // ErrVersionMismatch is returned by compare-and-set writes whose base
@@ -257,16 +258,7 @@ const NumStripes = numStripes
 // in [0, NumStripes). Sharded State Syncers use it to route jobs to the
 // shard slice owning their stripe.
 func StripeOf(name string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
-	}
-	return int(h & (numStripes - 1))
+	return int(fnv1a.String32(name) & (numStripes - 1))
 }
 
 // stripeFor hashes a job name onto its stripe (FNV-1a).
@@ -899,9 +891,9 @@ func (s *Store) SyncStateNamesRangeInto(lo, hi int, buf []string) []string {
 
 // snapshotSchema identifies the current serialized layout. Schema 3
 // added the shard-lease table; schema 2 added the dirty set and the
-// per-job sync states; schema 1 (implicit, field absent) predates all
-// three. Only schemas below 2 lack the crash-critical syncer state and
-// need the conservative mark-everything-dirty restore.
+// per-job sync states. Restore accepts schemas 2 through snapshotSchema:
+// a schema-1 snapshot (field absent) lacks the syncer's crash-critical
+// state, so it cannot be resumed from.
 const snapshotSchema = 3
 
 // snapshot is the serialized form of the whole store.
@@ -965,16 +957,19 @@ func (s *Store) Snapshot() ([]byte, error) {
 
 // Restore replaces the store's contents from a Snapshot. Every running
 // entry is restamped with a fresh revision so spec caches rebuild rather
-// than trust pre-restore state. Schema-2 snapshots carry the dirty set
-// and the per-job sync states, so the restored change set is exactly the
+// than trust pre-restore state. Snapshots carry the dirty set and the
+// per-job sync states, so the restored change set is exactly the
 // serialized one (plus any running-without-expected orphans, which must
 // tear down) — a syncer restarted from such a snapshot converges in one
-// ordinary change-driven round. Legacy snapshots carry neither, so every
-// job is conservatively marked dirty.
+// ordinary change-driven round. A snapshot of an unsupported schema is
+// rejected and leaves the store untouched.
 func (s *Store) Restore(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("jobstore: restore: %w", err)
+	}
+	if snap.Schema < 2 || snap.Schema > snapshotSchema {
+		return fmt.Errorf("jobstore: restore: unsupported snapshot schema %d (want 2..%d)", snap.Schema, snapshotSchema)
 	}
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()
@@ -987,13 +982,8 @@ func (s *Store) Restore(data []byte) error {
 		st.dirty = make(map[string]uint64)
 		st.sync = make(map[string]*SyncState)
 	}
-	legacy := snap.Schema < 2
 	for k, v := range snap.Expected {
-		st := s.stripeFor(k)
-		st.expected[k] = v
-		if legacy {
-			s.markLocked(st, k)
-		}
+		s.stripeFor(k).expected[k] = v
 	}
 	for k, v := range snap.Running {
 		// Serialized snapshots carry neither revisions nor merge caches
@@ -1003,7 +993,7 @@ func (s *Store) Restore(data []byte) error {
 		v.revision = s.revSeq.Add(1)
 		st := s.stripeFor(k)
 		st.running[k] = v
-		if _, ok := st.expected[k]; !ok || legacy {
+		if _, ok := st.expected[k]; !ok {
 			// Deleted-while-down jobs must tear down even if the snapshot
 			// predates their deletion's dirty mark.
 			s.markLocked(st, k)

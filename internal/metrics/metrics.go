@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fnv1a"
 	"repro/internal/simclock"
 )
 
@@ -108,16 +109,7 @@ func NewStore(clock simclock.Clock, retention time.Duration) *Store {
 
 // stripeFor hashes a series name (FNV-1a) onto its stripe.
 func (s *Store) stripeFor(name string) *stripe {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return &s.stripes[h&(numStripes-1)]
+	return &s.stripes[fnv1a.String64(name)&(numStripes-1)]
 }
 
 // lookup returns the named series or nil, touching only the stripe's

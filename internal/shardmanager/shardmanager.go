@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/fnv1a"
 	"repro/internal/simclock"
 )
 
@@ -379,16 +380,7 @@ func (m *Manager) Heartbeat(id string) error {
 
 // hbStripeFor hashes a container ID (FNV-1a) onto its liveness stripe.
 func (m *Manager) hbStripeFor(id string) *hbStripe {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return &m.hb[h&(hbStripeCount-1)]
+	return &m.hb[fnv1a.String32(id)&(hbStripeCount-1)]
 }
 
 // hbDeleteLocked drops a container from the liveness table (m.mu held).

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -253,7 +254,9 @@ func (s *legacySyncer) recordFailure(job string, err error, res *RoundResult) {
 // their first stop attempts transiently, some fail long enough to cross
 // the quarantine threshold, some fail redistribution or resume. Two
 // instances driven by equivalent syncers observe identical sequences.
+// The syncer runs complex plans concurrently, so the counters are locked.
 type flakyActuator struct {
+	mu          sync.Mutex
 	stopFails   map[string]int
 	redistFails map[string]int
 	resumeFails map[string]int
@@ -274,6 +277,8 @@ func jobHash(job string) uint32 {
 }
 
 func (f *flakyActuator) StopJobTasks(job string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	h := jobHash(job)
 	var budget int
 	switch {
@@ -290,6 +295,8 @@ func (f *flakyActuator) StopJobTasks(job string) error {
 }
 
 func (f *flakyActuator) RedistributeCheckpoints(job string, _, _, _ int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if jobHash(job)%17 == 0 && f.redistFails[job] < 1 {
 		f.redistFails[job]++
 		return fmt.Errorf("redistribute %s: injected failure", job)
@@ -298,6 +305,8 @@ func (f *flakyActuator) RedistributeCheckpoints(job string, _, _, _ int) error {
 }
 
 func (f *flakyActuator) ResumeJob(job string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if jobHash(job)%11 == 0 && f.resumeFails[job] < 2 {
 		f.resumeFails[job]++
 		return fmt.Errorf("resume %s: injected failure %d", job, f.resumeFails[job])

@@ -176,6 +176,46 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestBackoffDelayGolden pins retry delays bit-for-bit under the default
+// options (base 30 s, cap 5 min): the jitter is persisted into
+// NextRetryAt, so any drift in the hash or the doubling changes when
+// restored syncers retry.
+func TestBackoffDelayGolden(t *testing.T) {
+	s := New(jobstore.New(), nil, simclock.NewSim(epoch), Options{})
+	off := New(jobstore.New(), nil, simclock.NewSim(epoch), Options{RetryBackoffBase: NoBackoff})
+	for _, g := range []struct {
+		job    string
+		streak int
+		want   time.Duration
+	}{
+		{"j", 1, 0},
+		{"j", 2, 28391652018},
+		{"j", 3, 52309673799},
+		{"j", 4, 118554945343},
+		{"j", 5, 225300928651},
+		{"j", 6, 294458013923},
+		{"j", 7, 251395839126},
+		{"j", 8, 261084965144},
+		{"j", 9, 244559195319},
+		{"billing/agg-7", 1, 0},
+		{"billing/agg-7", 2, 26768613132},
+		{"billing/agg-7", 3, 56277501714},
+		{"billing/agg-7", 4, 106776032335},
+		{"billing/agg-7", 5, 209641834448},
+		{"billing/agg-7", 6, 230407106260},
+		{"billing/agg-7", 7, 273469281057},
+		{"billing/agg-7", 8, 276321763268},
+		{"billing/agg-7", 9, 244383938064},
+	} {
+		if got := s.backoffDelay(g.job, g.streak); got != g.want {
+			t.Errorf("backoffDelay(%q, %d) = %d, want %d", g.job, g.streak, got, g.want)
+		}
+		if got := off.backoffDelay(g.job, g.streak); got != 0 {
+			t.Errorf("NoBackoff backoffDelay(%q, %d) = %v, want 0", g.job, g.streak, got)
+		}
+	}
+}
+
 // TestBackoffSkipsRetriesUntilDeadline verifies failing jobs are not
 // retried every round: after the second consecutive failure the job
 // waits out its backoff before the actuator is probed again.

@@ -54,16 +54,17 @@ package statesyncer
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/config"
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
+	"repro/internal/workpool"
 )
 
 // Actuator is the State Syncer's interface to the task-management world:
@@ -260,8 +261,8 @@ type Options struct {
 	// depend on any particular sweep landing.
 	SweepGate func(pos, of int) bool
 	// SyncParallelism bounds the worker pool that builds plans and applies
-	// the batched simple commits; defaults to GOMAXPROCS capped at 16
-	// (mirroring the Auto Scaler's scan pool).
+	// the batched simple commits; defaults to
+	// workpool.DefaultParallelism.
 	SyncParallelism int
 	// RetryBackoffBase is the backoff unit for repeatedly failing jobs: a
 	// job on its Nth consecutive failure (N >= 2) is not retried until
@@ -312,15 +313,15 @@ type Syncer struct {
 	cursor uint64
 
 	// Round machinery. Rounds are serialized under roundMu; the scratch
-	// buffers, the pre-bound worker closures, and the lazily created
-	// worker pool are reused round over round so the converged steady
+	// buffers, the pre-bound worker closures, and the worker pool's
+	// parked helpers are reused round over round so the converged steady
 	// state allocates nothing.
 	roundMu   sync.Mutex
 	sweepPos  int // next rotating sweep slice, in [0, FullSweepEvery)
 	scratch   roundScratch
 	expView   stripeView
 	runView   stripeView
-	wp        *workerPool
+	wp        workpool.Pool
 	planFn    func(int)
 	simpleFn  func(int)
 	complexFn func(int)
@@ -402,10 +403,7 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 		opts.FullSweepEvery = 10
 	}
 	if opts.SyncParallelism <= 0 {
-		opts.SyncParallelism = runtime.GOMAXPROCS(0)
-		if opts.SyncParallelism > 16 {
-			opts.SyncParallelism = 16
-		}
+		opts.SyncParallelism = workpool.DefaultParallelism()
 	}
 	if opts.RetryBackoffBase == 0 {
 		opts.RetryBackoffBase = opts.Interval
@@ -726,43 +724,13 @@ type planned struct {
 
 // backoffDelay returns how long after its streak-th consecutive failure
 // a job waits before the next retry: 0 for the first failure, then
-// base·2^(streak-2) capped at RetryBackoffMax, minus a deterministic
-// per-(job, streak) jitter of up to a quarter of the delay so failing
-// jobs spread out instead of retrying in lockstep. Seed-stable: the same
-// job and streak always yield the same delay.
+// base·2^(streak-2) capped at RetryBackoffMax, less the shared per-(job,
+// streak) jitter (package backoff).
 func (s *Syncer) backoffDelay(job string, streak int) time.Duration {
 	if s.opts.RetryBackoffBase == NoBackoff || streak <= 1 {
 		return 0
 	}
-	d := s.opts.RetryBackoffBase
-	for i := 2; i < streak && d < s.opts.RetryBackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.opts.RetryBackoffMax {
-		d = s.opts.RetryBackoffMax
-	}
-	h := fnv64(job, uint64(streak))
-	d -= time.Duration(h % uint64(d/4+1))
-	return d
-}
-
-// fnv64 hashes a string plus a salt (FNV-1a), the deterministic jitter
-// source.
-func fnv64(sstr string, salt uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(sstr); i++ {
-		h ^= uint64(sstr[i])
-		h *= prime64
-	}
-	for i := 0; i < 8; i++ {
-		h ^= (salt >> (8 * i)) & 0xff
-		h *= prime64
-	}
-	return h
+	return backoff.Delay(s.opts.RetryBackoffBase, s.opts.RetryBackoffMax, streak-2, job, uint64(streak))
 }
 
 // planJob classifies one candidate job and builds its plan if divergent.
@@ -919,7 +887,7 @@ func (s *Syncer) RunRound() RoundResult {
 			make([]config.Differ, len(candidates)-cap(sc.differs))...)
 	}
 	sc.differs = sc.differs[:len(candidates)]
-	s.forEach(len(candidates), s.opts.SyncParallelism, 32, s.planFn)
+	s.wp.ForEach(len(candidates), s.opts.SyncParallelism, 32, s.planFn)
 	if s.dead() {
 		return res
 	}
@@ -977,7 +945,7 @@ func (s *Syncer) RunRound() RoundResult {
 		} else {
 			sc.simpleErrs = sc.simpleErrs[:len(sc.simple)]
 		}
-		s.forEach(len(sc.simple), s.opts.SyncParallelism, 256, s.simpleFn)
+		s.wp.ForEach(len(sc.simple), s.opts.SyncParallelism, 256, s.simpleFn)
 		for i := range sc.simple {
 			if sc.simpleErrs[i] != nil {
 				s.handlePlanError(sc.simple[i].Job, sc.simpleErrs[i], &res)
@@ -996,7 +964,7 @@ func (s *Syncer) RunRound() RoundResult {
 		} else {
 			sc.complexErrs = sc.complexErrs[:len(sc.complexPlans)]
 		}
-		s.forEach(len(sc.complexPlans), s.opts.MaxParallelComplex, 2, s.complexFn)
+		s.wp.ForEach(len(sc.complexPlans), s.opts.MaxParallelComplex, 2, s.complexFn)
 		for i := range sc.complexPlans {
 			if sc.complexErrs[i] != nil {
 				s.handlePlanError(sc.complexPlans[i].Job, sc.complexErrs[i], &res)
@@ -1152,31 +1120,6 @@ func unionSortedInto(dst *[]string, a, b []string) []string {
 	out = append(out, b[j:]...)
 	*dst = out
 	return out
-}
-
-// forEach runs fn(i) for every i in [0, n) on up to par workers.
-// Workloads below minParallel run inline: fan-out only pays for itself
-// on large batches or slow (actuator-bound) items. Larger ones run on
-// the syncer's persistent worker pool, created on first use and parked
-// between batches — dispatching a batch allocates nothing.
-func (s *Syncer) forEach(n, par, minParallel int, fn func(int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 || n < minParallel {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if s.wp == nil {
-		helpers := s.opts.SyncParallelism
-		if s.opts.MaxParallelComplex > helpers {
-			helpers = s.opts.MaxParallelComplex
-		}
-		s.wp = newWorkerPool(helpers - 1)
-	}
-	s.wp.run(n, par, fn)
 }
 
 // handlePlanError routes a plan failure. Post-commit (afterError)

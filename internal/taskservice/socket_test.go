@@ -277,6 +277,43 @@ func TestSocketDeadServerBackoffGating(t *testing.T) {
 // after a valid reply frame violates the one-reply-per-poll protocol;
 // the transport must count it, drop the connection, and never hand the
 // frame to the client.
+// TestDialBackoffGolden pins reconnect delays bit-for-bit under the
+// default options (base 1 s, cap 2 min), keyed by address and streak.
+func TestDialBackoffGolden(t *testing.T) {
+	for _, g := range []struct {
+		addr   string
+		streak int
+		want   time.Duration
+	}{
+		{"127.0.0.1:7411", 1, 861085111},
+		{"127.0.0.1:7411", 2, 1633101591},
+		{"127.0.0.1:7411", 3, 3686875535},
+		{"127.0.0.1:7411", 4, 7907988082},
+		{"127.0.0.1:7411", 5, 13030965916},
+		{"127.0.0.1:7411", 6, 31601089031},
+		{"127.0.0.1:7411", 7, 61328486120},
+		{"127.0.0.1:7411", 8, 105295071563},
+		{"127.0.0.1:7411", 9, 92188250458},
+		{"127.0.0.1:7411", 10, 101508713772},
+		{"feed.example:9000", 1, 854707616},
+		{"feed.example:9000", 2, 1675006597},
+		{"feed.example:9000", 3, 3244045958},
+		{"feed.example:9000", 4, 6003887289},
+		{"feed.example:9000", 5, 14630107759},
+		{"feed.example:9000", 6, 31937294072},
+		{"feed.example:9000", 7, 48967572810},
+		{"feed.example:9000", 8, 93892409635},
+		{"feed.example:9000", 9, 106999230740},
+		{"feed.example:9000", 10, 90106051844},
+	} {
+		tr := DialFeed(g.addr, DialOptions{})
+		tr.streak = g.streak
+		if got := tr.backoffDelay(); got != g.want {
+			t.Errorf("%s streak %d: backoffDelay = %d, want %d", g.addr, g.streak, got, g.want)
+		}
+	}
+}
+
 func TestSocketTornReplyNeverDelivered(t *testing.T) {
 	nl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -34,7 +34,6 @@
 package taskservice
 
 import (
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,6 +45,7 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
+	"repro/internal/workpool"
 )
 
 // Service generates and caches task-spec snapshots.
@@ -71,15 +71,15 @@ type Service struct {
 	changeBuf      []jobstore.Change    // reused ChangesSince buffer
 	genCount       int
 	version        int
-	quiesced     map[string]struct{}
-	quiesceDirty map[string]struct{} // quiesce flags toggled since the last regeneration
+	quiesced       map[string]struct{}
+	quiesceDirty   map[string]struct{} // quiesce flags toggled since the last regeneration
 
 	// Parallel group-rebuild machinery (guarded by regenMu): changed
 	// jobs' spec groups are generated on a persistent worker pool before
 	// the sequential splice pass, which then hits a warm cache. The
 	// scratch slices and the pre-bound worker closure are reused across
 	// regenerations, like the State Syncer's round scratch.
-	wp           *workerPool
+	wp           workpool.Pool
 	rebuildPar   int
 	rebuildNames []string
 	rebuildRevs  []int64
@@ -107,10 +107,6 @@ func New(store *jobstore.Store, clock simclock.Clock, ttl time.Duration, numShar
 	if numShards <= 0 {
 		numShards = 1024
 	}
-	par := runtime.GOMAXPROCS(0)
-	if par > 16 {
-		par = 16
-	}
 	s := &Service{
 		store:        store,
 		clock:        clock,
@@ -119,7 +115,7 @@ func New(store *jobstore.Store, clock simclock.Clock, ttl time.Duration, numShar
 		groups:       make(map[string]*jobGroup),
 		quiesced:     make(map[string]struct{}),
 		quiesceDirty: make(map[string]struct{}),
-		rebuildPar:   par,
+		rebuildPar:   workpool.DefaultParallelism(),
 		rebuildSeen:  make(map[string]struct{}),
 	}
 	s.buildFn = func(i int) {
@@ -409,20 +405,7 @@ func (s *Service) rebuildGroups() {
 	} else {
 		s.rebuilt = s.rebuilt[:n]
 	}
-	par := s.rebuildPar
-	if par > n {
-		par = n
-	}
-	if par <= 1 || n < 16 {
-		for i := 0; i < n; i++ {
-			s.buildFn(i)
-		}
-	} else {
-		if s.wp == nil {
-			s.wp = newWorkerPool(s.rebuildPar - 1)
-		}
-		s.wp.run(n, par, s.buildFn)
-	}
+	s.wp.ForEach(n, s.rebuildPar, 16, s.buildFn)
 	for i, name := range s.rebuildNames {
 		s.groups[name] = s.rebuilt[i]
 		s.rebuilt[i] = nil

@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test -race ./...
+# The benchmark harness is its own module, so the root ./... patterns
+# skip it; vet and self-test it against the packages it drives.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 # -short keeps the Scale* 1M-fleet benchmarks out of tier-1; CI's
 # scale-smoke job runs them once, and `make bench-scale` measures them.
 go test -short ./... -run 'XXXNONE' -bench . -benchtime 1x
