@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -359,11 +360,6 @@ func New(cfg Config) (*Cluster, error) {
 			if len(cfg.Regions) > 0 {
 				tmOpts.Region = cfg.Regions[h%len(cfg.Regions)]
 			}
-			if tmOpts.Metrics == nil {
-				// Shard-load reports fold a windowed mean off the cluster
-				// metrics store instead of instantaneous samples.
-				tmOpts.Metrics = c.Metrics
-			}
 			var smc taskmanager.ShardManagerClient = c.SM
 			if cfg.WrapSM != nil {
 				smc = cfg.WrapSM(id, smc)
@@ -692,24 +688,25 @@ func (c *Cluster) monitorTick() {
 	}
 	aggs := make(map[string]*agg)
 	oomTotals := make(map[string]int)
-	for _, e := range c.tms {
-		for id, st := range e.tm.TaskStats() {
-			job := jobOfTaskID(id)
-			a := aggs[job]
-			if a == nil {
-				a = &agg{}
-				aggs[job] = a
-			}
-			a.processing += st.Rate
-			a.taskRates = append(a.taskRates, st.Rate)
-			if st.MemoryBytes > a.memPeak {
-				a.memPeak = st.MemoryBytes
-			}
-			if st.DiskBytes > a.diskPeak {
-				a.diskPeak = st.DiskBytes
-			}
-			a.running++
+	visit := func(id string, st *engine.Stats) {
+		job := jobOfTaskID(id)
+		a := aggs[job]
+		if a == nil {
+			a = &agg{}
+			aggs[job] = a
 		}
+		a.processing += st.Rate
+		a.taskRates = append(a.taskRates, st.Rate)
+		if st.MemoryBytes > a.memPeak {
+			a.memPeak = st.MemoryBytes
+		}
+		if st.DiskBytes > a.diskPeak {
+			a.diskPeak = st.DiskBytes
+		}
+		a.running++
+	}
+	for _, e := range c.tms {
+		e.tm.EachTaskStat(visit)
 		for job, n := range e.tm.OOMsByJob() {
 			oomTotals[job] += n
 		}
@@ -720,12 +717,15 @@ func (c *Cluster) monitorTick() {
 	var totalInput float64
 
 	newSignals := make(map[string]autoscaler.Signals)
-	for _, job := range c.Store.RunningNames() {
+	names := c.Store.RunningNames() // sorted
+	liveCats := make(map[string]struct{}, len(names))
+	for _, job := range names {
 		cfg, ok := c.runningConfig(job)
 		if !ok {
 			continue
 		}
 		cat := cfg.Input.Category
+		liveCats[cat] = struct{}{}
 		written := c.Bus.TotalWritten(cat)
 		c.mu.Lock()
 		last := c.lastWritten[cat]
@@ -787,6 +787,7 @@ func (c *Cluster) monitorTick() {
 
 	c.mu.Lock()
 	c.signals = newSignals
+	c.pruneJobStateLocked(names, liveCats)
 	c.mu.Unlock()
 
 	c.seriesTaskCount.Record(float64(totalTasks))
@@ -795,6 +796,32 @@ func (c *Cluster) monitorTick() {
 	// buggy reporter; surface the counter as a series so experiments and
 	// operators see it move.
 	c.seriesDropped.Record(float64(c.Metrics.Dropped()))
+}
+
+// pruneJobStateLocked forgets the monitor's per-job state of jobs that
+// no longer have a running entry (sorted names) and the input counters
+// of categories no running job reads. A running entry goes away only at
+// teardown, so a live job's state is never reset.
+func (c *Cluster) pruneJobStateLocked(names []string, liveCats map[string]struct{}) {
+	running := func(job string) bool {
+		_, ok := slices.BinarySearch(names, job)
+		return ok
+	}
+	for job := range c.lastOOMs {
+		if !running(job) {
+			delete(c.lastOOMs, job)
+		}
+	}
+	for job := range c.decoded {
+		if !running(job) {
+			delete(c.decoded, job)
+		}
+	}
+	for cat := range c.lastWritten {
+		if _, ok := liveCats[cat]; !ok {
+			delete(c.lastWritten, cat)
+		}
+	}
 }
 
 // seriesFor returns the cached metric-series handles of a job, resolving
@@ -1044,9 +1071,7 @@ func (c *Cluster) JobBacklog(job string) int64 {
 func (c *Cluster) TaskFootprints() []engine.Stats {
 	var out []engine.Stats
 	for _, e := range c.tms {
-		for _, st := range e.tm.TaskStats() {
-			out = append(out, st)
-		}
+		e.tm.EachTaskStat(func(_ string, st *engine.Stats) { out = append(out, *st) })
 	}
 	return out
 }

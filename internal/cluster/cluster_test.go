@@ -97,11 +97,13 @@ func TestPackagePushPropagatesClusterWide(t *testing.T) {
 		}
 	}
 	c.Run(5 * time.Minute)
-	// All running tasks must now carry v2 specs.
+	// Every task restarted onto its v2 spec is running and reporting.
+	visited := 0
 	for _, tm := range c.TaskManagers() {
-		for id, _ := range tm.TaskStats() {
-			_ = id
-		}
+		tm.EachTaskStat(func(string, *engine.Stats) { visited++ })
+	}
+	if visited != 12 {
+		t.Fatalf("visited %d running tasks, want 12", visited)
 	}
 	restarts := 0
 	for _, tm := range c.TaskManagers() {
@@ -442,5 +444,44 @@ func TestRegionalClusterPinsJobShards(t *testing.T) {
 	}
 	if c.Violations() != 0 {
 		t.Fatalf("violations = %d", c.Violations())
+	}
+}
+
+// The monitor's per-job state follows the running set: a deleted job's
+// entries go once its teardown drops the running entry, while a live
+// job's state is never reset.
+func TestMonitorStateBoundedUnderJobChurn(t *testing.T) {
+	c := newCluster(t, Config{Hosts: 2})
+	c.AddJob(JobSpec{Config: tailerJob("keep", 2, 4), Pattern: workload.Constant(mb)})
+	c.Run(3 * time.Minute)
+	keepAge := c.SecondsSinceConfigChange("keep")
+	if keepAge < 0 {
+		t.Fatal("monitor never observed the kept job")
+	}
+	for round := 0; round < 6; round++ {
+		name := "churn" + string(rune('a'+round))
+		c.AddJob(JobSpec{Config: tailerJob(name, 2, 4), Pattern: workload.Constant(mb)})
+		c.Run(3 * time.Minute)
+		if c.SecondsSinceConfigChange(name) < 0 {
+			t.Fatalf("%s: monitor never observed it", name)
+		}
+		if err := c.RemoveJob(name); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(3 * time.Minute)
+		if got := c.Store.RunningNames(); len(got) != 1 {
+			t.Fatalf("%s: running %v after teardown, want only keep", name, got)
+		}
+		c.mu.Lock()
+		oom, dec, written := len(c.lastOOMs), len(c.decoded), len(c.lastWritten)
+		c.mu.Unlock()
+		if oom != 1 || dec != 1 || written != 1 {
+			t.Fatalf("%s: monitor state lastOOMs=%d decoded=%d lastWritten=%d after teardown, want 1 each", name, oom, dec, written)
+		}
+	}
+	// The kept job's config-change age kept growing: its cache entry
+	// survived every prune.
+	if age := c.SecondsSinceConfigChange("keep"); age < keepAge+(6*6*time.Minute).Seconds() {
+		t.Fatalf("kept job's config age %vs, want at least %vs", age, keepAge+(36*time.Minute).Seconds())
 	}
 }

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/scribe"
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
@@ -95,13 +94,6 @@ type Options struct {
 	// Region tags this container for regional placement constraints
 	// (§IV-B); empty means unconstrained.
 	Region string
-	// Metrics, when set, turns shard-load reporting into windowed
-	// aggregation (§IV-B's load-aggregator, smoothed the way the Auto
-	// Scaler reads its signals): Advance records per-shard usage samples
-	// into the store, and ReportLoads reports each shard's mean over
-	// LoadReportInterval instead of the instantaneous point sample. Nil
-	// keeps the instantaneous behavior.
-	Metrics *metrics.Store
 }
 
 // DefaultConnectionTimeout is the proactive self-reboot deadline when
@@ -199,17 +191,33 @@ type Manager struct {
 	lastSnapshotVersion int
 	lastStartErrors     int
 
-	// loadSeries caches per-shard metric series handles (and their names
-	// for window reads) so the per-tick load sampling allocates nothing
-	// after the first sample of a shard.
-	loadSeries map[shardmanager.ShardID]*shardLoadSeries
+	// loads holds each shard's usage samples since the last ReportLoads
+	// as running sums: an entry per owned shard, plus shards dropped
+	// since that report. ReportLoads drains it on every call.
+	loads map[shardmanager.ShardID]loadAcc
 }
 
-// shardLoadSeries holds one owned shard's load series: handles for the
-// per-tick appends and names for the windowed reads.
-type shardLoadSeries struct {
-	cpu, mem, disk, net     *metrics.Series
-	cpuN, memN, diskN, netN string
+// loadAcc is one shard's running usage sum over the current report
+// window: n samples, one per Advance that ran while the shard was owned.
+type loadAcc struct {
+	n              int
+	cpu            float64
+	mem, disk, net int64
+}
+
+// mean returns the window's mean usage, converting the integer sums the
+// way a float64 metric series' mean would; zero when n is zero.
+func (a loadAcc) mean() config.Resources {
+	if a.n == 0 {
+		return config.Resources{}
+	}
+	n := float64(a.n)
+	return config.Resources{
+		CPUCores:    a.cpu / n,
+		MemoryBytes: int64(float64(a.mem) / n),
+		DiskBytes:   int64(float64(a.disk) / n),
+		NetworkBps:  int64(float64(a.net) / n),
+	}
 }
 
 // New builds a Task Manager for a container. Call Start to register with
@@ -230,6 +238,7 @@ func New(container *tupperware.Container, clock simclock.Clock, source TaskSourc
 		opts:        opts,
 		shards:      make(map[shardmanager.ShardID]struct{}),
 		tasks:       make(map[string]*runningTask),
+		loads:       make(map[shardmanager.ShardID]loadAcc),
 		connected:   true,
 		lastContact: clock.Now(),
 	}
@@ -589,9 +598,9 @@ func (m *Manager) OnContainerDead() {
 	}
 }
 
-// Advance drives every running task by dt of simulated processing and
-// records their stats. The cluster harness calls it from the simulation
-// loop.
+// Advance drives every running task by dt of simulated processing,
+// records their stats, and samples the owned shards' loads. The cluster
+// harness calls it from the simulation loop.
 func (m *Manager) Advance(dt time.Duration) {
 	if !m.container.Alive() {
 		return
@@ -609,66 +618,53 @@ func (m *Manager) Advance(dt time.Duration) {
 			m.oomsByJob[rt.task.Spec().Job]++
 		}
 	}
-	if m.opts.Metrics != nil {
-		m.sampleShardLoadsLocked()
-	}
+	m.sampleLoadsLocked()
 }
 
-// sampleShardLoadsLocked records each owned shard's current usage into the
-// metrics store — the samples ReportLoads later folds into a windowed
-// mean. Shards with no running tasks record zeros, so idle periods pull
-// the window average down instead of being invisible.
-func (m *Manager) sampleShardLoadsLocked() {
+// sampleLoadsLocked folds one usage sample per owned shard into the
+// shard's running sum — the samples ReportLoads turns into a windowed
+// mean. Owned shards with no running tasks still count a (zero) sample,
+// so idle periods pull the window average down instead of being
+// invisible. One pass over the shards and one over the tasks; once every
+// owned shard has an entry it allocates nothing.
+func (m *Manager) sampleLoadsLocked() {
 	for s := range m.shards {
-		var u config.Resources
-		for _, rt := range m.tasks {
-			if rt.shard != s {
-				continue
-			}
-			u.CPUCores += rt.stats.CPUCores
-			u.MemoryBytes += rt.stats.MemoryBytes
-			u.DiskBytes += rt.stats.DiskBytes
-			u.NetworkBps += rt.stats.NetworkBps
+		a := m.loads[s]
+		a.n++
+		m.loads[s] = a
+	}
+	for _, rt := range m.tasks {
+		a := m.loads[rt.shard]
+		a.cpu += rt.stats.CPUCores
+		a.mem += rt.stats.MemoryBytes
+		a.disk += rt.stats.DiskBytes
+		a.net += rt.stats.NetworkBps
+		m.loads[rt.shard] = a
+	}
+}
+
+// drainLoadsLocked starts a new report window: owned shards' sums are
+// zeroed in place (their entries stay, so the next sample allocates
+// nothing) and every other shard's entry is deleted.
+func (m *Manager) drainLoadsLocked() {
+	for s := range m.loads {
+		if _, owned := m.shards[s]; owned {
+			m.loads[s] = loadAcc{}
+		} else {
+			delete(m.loads, s)
 		}
-		ls := m.shardSeriesLocked(s)
-		ls.cpu.Record(u.CPUCores)
-		ls.mem.Record(float64(u.MemoryBytes))
-		ls.disk.Record(float64(u.DiskBytes))
-		ls.net.Record(float64(u.NetworkBps))
 	}
 }
 
-func (m *Manager) shardSeriesLocked(s shardmanager.ShardID) *shardLoadSeries {
-	if ls, ok := m.loadSeries[s]; ok {
-		return ls
-	}
-	if m.loadSeries == nil {
-		m.loadSeries = make(map[shardmanager.ShardID]*shardLoadSeries)
-	}
-	prefix := fmt.Sprintf("tm.%s.shard.%d.", m.id, s)
-	ls := &shardLoadSeries{
-		cpuN:  prefix + "cpu",
-		memN:  prefix + "mem",
-		diskN: prefix + "disk",
-		netN:  prefix + "net",
-	}
-	ls.cpu = m.opts.Metrics.Handle(ls.cpuN)
-	ls.mem = m.opts.Metrics.Handle(ls.memN)
-	ls.disk = m.opts.Metrics.Handle(ls.diskN)
-	ls.net = m.opts.Metrics.Handle(ls.netN)
-	m.loadSeries[s] = ls
-	return ls
-}
-
-// TaskStats returns the last-observed stats of every running task.
-func (m *Manager) TaskStats() map[string]engine.Stats {
+// EachTaskStat calls fn with the ID and last-observed stats of every
+// running task. It runs under the Manager's lock: fn must not call back
+// into the Manager or keep st past its return.
+func (m *Manager) EachTaskStat(fn func(id string, st *engine.Stats)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]engine.Stats, len(m.tasks))
 	for id, rt := range m.tasks {
-		out[id] = rt.stats
+		fn(id, &rt.stats)
 	}
-	return out
 }
 
 // RunningTaskIDs returns the IDs of tasks currently running, sorted.
@@ -705,53 +701,45 @@ func (m *Manager) Usage() config.Resources {
 	return u
 }
 
-// ReportLoads aggregates per-shard loads and reports them to the Shard
-// Manager in one batched call (the load-aggregator thread of §IV-B).
-// With a metrics store configured, each shard reports its windowed mean
-// over LoadReportInterval — balancing sees smoothed load, not whatever
-// instant the reporter happened to fire at. Shards with no samples in the
-// window (e.g. freshly adopted) fall back to the instantaneous sum.
+// ReportLoads reports per-shard loads to the Shard Manager in one
+// batched call (the load-aggregator thread of §IV-B). Each owned shard
+// reports its mean usage over the samples Advance took since the last
+// call — balancing sees smoothed load, not whatever instant the reporter
+// happened to fire at. Shards with no samples (e.g. freshly adopted) fall
+// back to the instantaneous sum.
+//
+// Every call drains the sums, even for a dead container, so a window
+// never holds samples older than one report interval. Driven by its
+// ticker, the report fires before the Advance tick at the same instant
+// (the simulated clock breaks ties FIFO, and a ticker is re-queued each
+// time it fires), so each sample lands in exactly one window: the
+// tumbling equivalent of a trailing LoadReportInterval mean.
 func (m *Manager) ReportLoads() {
-	if !m.container.Alive() {
-		return
-	}
+	alive := m.container.Alive()
 	m.mu.Lock()
-	loads := make(map[shardmanager.ShardID]config.Resources)
-	for s := range m.shards {
-		loads[s] = config.Resources{}
-	}
-	for _, rt := range m.tasks {
-		s := rt.shard
-		l := loads[s]
-		l.CPUCores += rt.stats.CPUCores
-		l.MemoryBytes += rt.stats.MemoryBytes
-		l.DiskBytes += rt.stats.DiskBytes
-		l.NetworkBps += rt.stats.NetworkBps
-		loads[s] = l
-	}
-	var windows map[shardmanager.ShardID]*shardLoadSeries
-	if m.opts.Metrics != nil {
-		windows = make(map[shardmanager.ShardID]*shardLoadSeries, len(m.shards))
+	var loads map[shardmanager.ShardID]config.Resources
+	if alive {
+		loads = make(map[shardmanager.ShardID]config.Resources, len(m.shards))
 		for s := range m.shards {
-			windows[s] = m.shardSeriesLocked(s)
+			loads[s] = m.loads[s].mean()
 		}
-	}
-	m.mu.Unlock()
-
-	if windows != nil {
-		mst, win := m.opts.Metrics, m.opts.LoadReportInterval
-		for s, ls := range windows {
-			if agg := mst.WindowAgg(ls.cpuN, win); agg.Count > 0 {
-				loads[s] = config.Resources{
-					CPUCores:    agg.Mean(),
-					MemoryBytes: int64(mst.WindowAgg(ls.memN, win).Mean()),
-					DiskBytes:   int64(mst.WindowAgg(ls.diskN, win).Mean()),
-					NetworkBps:  int64(mst.WindowAgg(ls.netN, win).Mean()),
-				}
+		for _, rt := range m.tasks {
+			if m.loads[rt.shard].n > 0 {
+				continue
 			}
+			l := loads[rt.shard]
+			l.CPUCores += rt.stats.CPUCores
+			l.MemoryBytes += rt.stats.MemoryBytes
+			l.DiskBytes += rt.stats.DiskBytes
+			l.NetworkBps += rt.stats.NetworkBps
+			loads[rt.shard] = l
 		}
 	}
-	m.sm.ReportShardLoads(loads)
+	m.drainLoadsLocked()
+	m.mu.Unlock()
+	if alive {
+		m.sm.ReportShardLoads(loads)
+	}
 }
 
 // Stats returns cumulative counters.

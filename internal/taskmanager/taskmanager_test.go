@@ -208,9 +208,9 @@ func TestProcessingAndLoadReporting(t *testing.T) {
 	}
 	var processed int64
 	for _, tm := range w.tms {
-		for _, st := range tm.TaskStats() {
+		tm.EachTaskStat(func(_ string, st *engine.Stats) {
 			processed += st.ProcessedBytes
-		}
+		})
 		if u := tm.Usage(); tm.TaskCount() > 0 && u.MemoryBytes == 0 {
 			t.Fatal("usage not tracked")
 		}
@@ -409,24 +409,35 @@ func TestLoadReportsReachShardManager(t *testing.T) {
 	w.addJob(t, "j1", 2, 4)
 	w.refreshAll()
 	w.bus.AppendEven("j1_in", 100<<20, 0)
+	rec := &recordingSM{Manager: w.sm}
+	w.tms[0].sm = rec
 	w.tms[0].Advance(10 * time.Second)
 	w.tms[0].ReportLoads()
+	if rec.last == nil {
+		t.Fatal("no load report captured")
+	}
 	// Every owned shard has a load report; shards hosting tasks carry
 	// nonzero CPU.
-	var nonzero int
-	for _, s := range w.tms[0].Shards() {
-		_ = s
+	owned := w.tms[0].Shards()
+	if len(rec.last) != len(owned) {
+		t.Fatalf("reported %d shards, own %d", len(rec.last), len(owned))
 	}
-	for _, id := range w.tms[0].RunningTaskIDs() {
+	for _, s := range owned {
+		if _, ok := rec.last[s]; !ok {
+			t.Fatalf("owned shard %d missing from the report", s)
+		}
+	}
+	ids := w.tms[0].RunningTaskIDs()
+	if len(ids) == 0 {
+		t.Fatal("no tasks on tm0")
+	}
+	for _, id := range ids {
 		s := shardmanager.ShardOf(id, w.sm.NumShards())
-		// The SM's next rebalance would use these loads; verify through
-		// a rebalance result: mean score must be positive.
-		_ = s
-		nonzero++
+		if rec.last[s].CPUCores <= 0 {
+			t.Fatalf("shard %d hosts running task %s but reported %+v", s, id, rec.last[s])
+		}
 	}
-	if nonzero == 0 {
-		t.Skip("no tasks on tm0")
-	}
+	// The balancer sees the reported loads.
 	res := w.sm.Rebalance()
 	if res.MeanScore <= 0 {
 		t.Fatalf("reported loads not visible to balancer: %+v", res)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/engine"
 	"repro/internal/jobstore"
-	"repro/internal/metrics"
 	"repro/internal/scribe"
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
@@ -36,7 +35,6 @@ func TestReportLoadsUsesWindowedMean(t *testing.T) {
 	ts := taskservice.New(store, clk, 90*time.Second, 64)
 	sm := shardmanager.New(clk, shardmanager.Options{NumShards: 8})
 	rec := &recordingSM{Manager: sm}
-	ms := metrics.NewStore(clk, time.Hour)
 	profile := func(spec engine.TaskSpec) *engine.Profile {
 		return engine.DefaultProfile(spec.Operator)
 	}
@@ -49,7 +47,6 @@ func TestReportLoadsUsesWindowedMean(t *testing.T) {
 	}
 	tm := New(ct, clk, ts, rec, bus, ckpt, profile, Options{
 		LoadReportInterval: time.Minute,
-		Metrics:            ms,
 	})
 	tm.Start()
 	sm.AssignUnassigned()
@@ -86,8 +83,8 @@ func TestReportLoadsUsesWindowedMean(t *testing.T) {
 		t.Fatalf("tasks = %d, want 2", tm.TaskCount())
 	}
 
-	// Feed traffic and advance: each tick samples per-shard usage into the
-	// metrics store at a distinct sim time.
+	// Feed traffic and advance: each tick folds one per-shard usage sample
+	// into the window.
 	for i := 0; i < 3; i++ {
 		if err := bus.AppendEven("wj_in", 1<<20, 1000); err != nil {
 			t.Fatal(err)
@@ -115,7 +112,7 @@ func TestReportLoadsUsesWindowedMean(t *testing.T) {
 		t.Fatalf("windowed mean %v not smoothed below final instantaneous %v", reported, instantaneous)
 	}
 
-	// Without a metrics store the same setup reports the instantaneous sum.
+	// A manager with no samples yet reports the instantaneous sum.
 	tm2 := New(ct, clk, ts, rec, bus, ckpt, profile, Options{LoadReportInterval: time.Minute})
 	tm2.mu.Lock()
 	tm2.shards = map[shardmanager.ShardID]struct{}{0: {}}

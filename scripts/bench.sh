@@ -4,10 +4,10 @@
 # Usage: scripts/bench.sh OUT.json [bench-pattern]
 #
 # Parses `go test -bench` lines into OUT.json as an array of
-# {"op": name, "ns_per_op": n, "allocs_per_op": n} records so successive
-# PRs can diff performance without re-reading prose tables. Earlier PRs'
-# snapshots (BENCH_PR2.json .. BENCH_PR4.json) stay in the repo for
-# comparison.
+# {"op": name, "ns_per_op": n, "bytes_per_op": n, "allocs_per_op": n}
+# records so successive PRs can diff performance without re-reading prose
+# tables. Earlier PRs' snapshots (BENCH_PR2.json onward) stay in the repo
+# for comparison; those before BENCH_PR13.json carry no bytes_per_op.
 #
 # Two suites live behind this script:
 #   make bench        regular suite, BENCH_SHORT=1 so the Scale* 1M-fleet
@@ -45,15 +45,17 @@ BEGIN { print "["; n = 0 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    ns = ""; allocs = ""
+    ns = ""; bytes = ""; allocs = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op")     ns = $(i-1)
+        if ($i == "B/op")      bytes = $(i-1)
         if ($i == "allocs/op") allocs = $(i-1)
     }
     if (ns == "") next
+    if (bytes == "") bytes = "null"
     if (allocs == "") allocs = "null"
     if (n++) printf ",\n"
-    printf "  {\"op\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s}", name, ns, allocs
+    printf "  {\"op\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, ns, bytes, allocs
 }
 END { print "\n]" }
 ' "$RAW" > "$OUT"
