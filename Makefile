@@ -9,8 +9,8 @@ build:
 test:
 	go test ./...
 
-bench: ## regular benchmark pass (scale tier skipped); writes BENCH_PR13.json
-	BENCH_SHORT=1 ./scripts/bench.sh BENCH_PR13.json
+bench: ## regular benchmark pass (scale tier skipped); writes BENCH_PR14.json
+	BENCH_SHORT=1 ./scripts/bench.sh BENCH_PR14.json
 
 bench-scale: ## 1M-fleet scale tier only; writes BENCH_SCALE.json
 	BENCHTIME=$${BENCHTIME:-20x} ./scripts/bench.sh BENCH_SCALE.json Scale

@@ -1038,13 +1038,8 @@ func (c *Cluster) TotalRunningTasks() int {
 // JobRunningTasks counts live tasks of one job.
 func (c *Cluster) JobRunningTasks(job string) int {
 	n := 0
-	prefix := job + "#"
 	for _, e := range c.tms {
-		for _, id := range e.tm.RunningTaskIDs() {
-			if strings.HasPrefix(id, prefix) {
-				n++
-			}
-		}
+		n += e.tm.JobTaskCount(job)
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -40,27 +41,54 @@ func FuzzMerge(f *testing.F) {
 	})
 }
 
-// FuzzJobConfigFromDoc ensures arbitrary documents never panic the typed
-// decoder and that valid configs round-trip.
+// FuzzJobConfigFromDoc checks the typed decoder against the JSON round
+// trip it replaces: every document decodes to the same *JobConfig with the
+// same error text. JSON-decoded documents hold only float64 numbers and
+// valid UTF-8, so each one is also re-checked with a Go string, int, int64
+// and float64 written through SetPath at the fuzzed path — the shapes the
+// Job Service and wire decoding put in a doc.
 func FuzzJobConfigFromDoc(f *testing.F) {
-	f.Add(`{"name":"j","taskCount":4}`)
-	f.Add(`{"taskCount":"not-a-number"}`)
-	f.Add(`{"taskResources":{"cpuCores":1.5}}`)
-	f.Add(`{"input":{"category":"c","partitions":8}}`)
-	f.Fuzz(func(t *testing.T, docJSON string) {
+	for _, doc := range []string{
+		`{"name":"j","taskCount":4}`,
+		`{"taskCount":"not-a-number"}`,
+		`{"taskResources":{"cpuCores":1.5}}`,
+		`{"input":{"category":"c","partitions":8}}`,
+		`{"TaskCount":3}`,
+		`{"taskCount":3,"TaskCount":4}`,
+		`{"input":{"category":"a"},"Input":{"partitions":3}}`,
+		"{\"name\":\"\xff\"}",
+		`{"package":{"name":null,"version":null},"input":null,"taskResources":{"cpuCores":null}}`,
+		`{"taskCount":"4"}`,
+		`{"name":{"first":"j"}}`,
+		`{"taskCount":0.5}`,
+		`{"taskCount":-0}`,
+		`{"taskCount":9007199254740992}`,
+		`{"taskCount":9007199254740994}`,
+		`{"taskCount":1e21}`,
+		`{"taskCount":-9.223372036854776e18}`,
+		`{"extra":[1,{"a":null}],"package":{"extra":true}}`,
+	} {
+		f.Add(doc, "taskCount", "\xff", int64(1)<<62, -9.223372036854776e18)
+	}
+	f.Add(`{}`, "name", "a\xffb", int64(-1), 0.5)
+	f.Add(`{"package":{"name":"p"}}`, "package.Name", "p2", int64(1)<<53+1, 1e21)
+	f.Add(`{}`, "taskResources.cpuCores", "x", int64(math.MaxInt64), math.Copysign(0, -1))
+	f.Add(`{}`, "taskResources.memoryBytes", "", int64(math.MinInt64), 9007199254740994.0)
+	f.Fuzz(func(t *testing.T, docJSON, path, s string, n int64, x float64) {
 		var d Doc
 		if json.Unmarshal([]byte(docJSON), &d) != nil {
 			t.Skip()
 		}
-		cfg, err := JobConfigFromDoc(d)
-		if err != nil {
-			return // undecodable is fine; panicking is not
+		if cfg := checkDecodeMatchesJSON(t, d); cfg != nil {
+			// Decoded configs re-encode without error.
+			if _, err := cfg.ToDoc(); err != nil {
+				t.Fatalf("re-encode failed: %v", err)
+			}
+			_ = cfg.Validate()
 		}
-		// Decoded configs re-encode without error.
-		if _, err := cfg.ToDoc(); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
+		for _, v := range []any{s, int(n), n, x} {
+			checkDecodeMatchesJSON(t, d.Clone().SetPath(path, v))
 		}
-		_ = cfg.Validate()
 	})
 }
 

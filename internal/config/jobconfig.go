@@ -183,8 +183,21 @@ func (c *JobConfig) ToDoc() (Doc, error) {
 	return d, nil
 }
 
-// JobConfigFromDoc decodes a merged Doc into the typed JobConfig.
+// JobConfigFromDoc decodes a merged Doc into the typed JobConfig. The
+// result, and any error, is exactly what a JSON round trip of d gives: the
+// doc is walked directly (jobconfig_decode.go) and handed unchanged to that
+// round trip only when the walk meets a value it cannot decode exactly.
 func JobConfigFromDoc(d Doc) (*JobConfig, error) {
+	c := new(JobConfig)
+	if decodeJobConfig(c, d) {
+		return c, nil
+	}
+	return jobConfigFromJSON(d)
+}
+
+// jobConfigFromJSON decodes d by marshalling it to JSON and unmarshalling
+// that into a JobConfig: JobConfigFromDoc's fallback and its reference.
+func jobConfigFromJSON(d Doc) (*JobConfig, error) {
 	raw, err := json.Marshal(d)
 	if err != nil {
 		return nil, fmt.Errorf("marshal doc: %w", err)

@@ -679,6 +679,20 @@ func (m *Manager) RunningTaskIDs() []string {
 	return out
 }
 
+// JobTaskCount returns how many of one job's tasks run here, without
+// building or sorting an ID list.
+func (m *Manager) JobTaskCount(job string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, rt := range m.tasks {
+		if rt.task.Spec().Job == job {
+			n++
+		}
+	}
+	return n
+}
+
 // TaskCount returns the number of running tasks.
 func (m *Manager) TaskCount() int {
 	m.mu.Lock()

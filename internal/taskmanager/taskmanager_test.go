@@ -2,6 +2,7 @@ package taskmanager
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,6 +122,33 @@ func TestTasksStartAcrossContainers(t *testing.T) {
 	}
 	if w.ckpt.Violations() != 0 {
 		t.Fatalf("lease violations: %d", w.ckpt.Violations())
+	}
+}
+
+func TestJobTaskCount(t *testing.T) {
+	w := newWorld(t, 3)
+	w.addJob(t, "j", 8, 16)
+	w.addJob(t, "j1", 4, 8)
+	w.refreshAll()
+	sum := map[string]int{}
+	for _, tm := range w.tms {
+		want := map[string]int{}
+		for _, id := range tm.RunningTaskIDs() {
+			want[id[:strings.LastIndex(id, "#")]]++
+		}
+		for _, job := range []string{"j", "j1", "absent"} {
+			if got := tm.JobTaskCount(job); got != want[job] {
+				t.Fatalf("%s: JobTaskCount(%q) = %d, want %d", tm.ID(), job, got, want[job])
+			}
+			sum[job] += tm.JobTaskCount(job)
+		}
+	}
+	if sum["j"] != 8 || sum["j1"] != 4 || sum["absent"] != 0 {
+		t.Fatalf("fleet counts %v, want j=8 j1=4 absent=0", sum)
+	}
+	tm := w.tms[0]
+	if n := testing.AllocsPerRun(100, func() { tm.JobTaskCount("j") }); n != 0 {
+		t.Fatalf("JobTaskCount allocates %v, want 0", n)
 	}
 }
 

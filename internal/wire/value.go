@@ -7,8 +7,8 @@
 //
 // Numbers keep their JSON semantics, not their Go type: int and int64
 // both travel as vInt and decode as int64, float64 travels as vFloat.
-// That matches config.JobConfigFromDoc, which round-trips documents
-// through encoding/json and therefore cannot distinguish integer widths;
+// That matches config.JobConfigFromDoc, which decodes exactly as an
+// encoding/json round trip would and so cannot distinguish integer widths;
 // config.Equal (canonical-JSON comparison) holds across a wire round
 // trip.
 

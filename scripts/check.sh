@@ -23,3 +23,6 @@ go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzSpecRoundTrip' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
+# The typed config decoder reads operator-supplied layers; its fuzz
+# target checks it against the encoding/json round trip it replaces.
+go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
