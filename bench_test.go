@@ -202,7 +202,7 @@ func BenchmarkConfigMerge(b *testing.B) {
 func BenchmarkSyncerConvergedRound(b *testing.B) {
 	// Cost of one round over 10K already-converged jobs: the fast path
 	// that makes 30-second rounds affordable at fleet scale. Each round
-	// sweeps a rotating 1/FullSweepEvery slice of the fleet off the
+	// sweeps a rotating 1/10 slice of the fleet off the
 	// shared name snapshots, so there is no periodic full-fleet spike;
 	// the 1M-fleet version with an allocs/op ceiling lives in
 	// internal/statesyncer (BenchmarkScaleSyncerRound1MConverged).

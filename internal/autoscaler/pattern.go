@@ -29,21 +29,11 @@ type PatternAnalyzer struct {
 	store *metrics.Store
 	clock simclock.Clock
 
-	// HistoryDays of lookback (default 14).
-	HistoryDays int
-	// HorizonHours is x: a downscale must have sustained traffic for the
-	// next x hours on each past day (default 2).
-	HorizonHours float64
-	// OutlierFactor: if the last-30-minutes average differs from the
-	// same-time-of-day historical average by more than this factor,
-	// history-based decisions are disabled for this round (default 1.5).
-	OutlierFactor float64
-	// Safety multiplier applied to historical peaks (default 1.1).
-	Safety float64
-	// BucketMinutes is the width of the time-of-day bucket cached history
-	// aggregates are keyed by (default 10). Within one bucket the
-	// historical peak and average are computed once per job.
-	BucketMinutes int
+	// historyDays of lookback: the 14 recorded days of §V-C.
+	historyDays int
+	// horizonHours is x: a downscale must have sustained traffic for the
+	// next x hours on each past day (default 2; Options.HistoryHorizonHours).
+	horizonHours float64
 
 	mu    sync.Mutex
 	peaks map[string]peakEntry
@@ -51,13 +41,25 @@ type PatternAnalyzer struct {
 	hits  uint64
 }
 
+// outlierFactor: if the last-30-minutes average differs from the
+// same-time-of-day historical average by more than this factor,
+// history-based decisions are disabled for this round (§V-C).
+const outlierFactor = 1.5
+
+// safety is the multiplier applied to historical peaks before a
+// downscale is judged safe (§V-C).
+const safety = 1.1
+
+// bucketWidth is the width of the time-of-day bucket cached history
+// aggregates are keyed by. Within one bucket the historical peak and
+// average are computed once per job.
+const bucketWidth = 10 * time.Minute
+
 // peakEntry caches the historical peak input rate over the next
-// HorizonHours at this time-of-day bucket, across all recorded past days.
+// horizonHours at this time-of-day bucket, across all recorded past days.
 // hasData is false when no past day had points in the horizon.
 type peakEntry struct {
 	bucket  int64 // unix nanos of the bucket start the entry was computed in
-	days    int
-	horizon float64
 	peak    float64
 	hasData bool
 }
@@ -66,7 +68,6 @@ type peakEntry struct {
 // aggregate the outlier check compares current traffic against.
 type histEntry struct {
 	bucket int64
-	days   int
 	sum    float64
 	count  int
 }
@@ -74,25 +75,18 @@ type histEntry struct {
 // NewPatternAnalyzer returns an analyzer over the given metric store.
 func NewPatternAnalyzer(store *metrics.Store, clock simclock.Clock) *PatternAnalyzer {
 	return &PatternAnalyzer{
-		store:         store,
-		clock:         clock,
-		HistoryDays:   14,
-		HorizonHours:  2,
-		OutlierFactor: 1.5,
-		Safety:        1.1,
-		BucketMinutes: 10,
-		peaks:         make(map[string]peakEntry),
-		hists:         make(map[string]histEntry),
+		store:        store,
+		clock:        clock,
+		historyDays:  14,
+		horizonHours: 2,
+		peaks:        make(map[string]peakEntry),
+		hists:        make(map[string]histEntry),
 	}
 }
 
 // bucketStart truncates now to the containing time-of-day bucket.
 func (pa *PatternAnalyzer) bucketStart(now time.Time) int64 {
-	w := time.Duration(pa.BucketMinutes) * time.Minute
-	if w <= 0 {
-		w = 10 * time.Minute
-	}
-	return now.Truncate(w).UnixNano()
+	return now.Truncate(bucketWidth).UnixNano()
 }
 
 // CacheHits reports how many history consultations were answered from the
@@ -104,7 +98,7 @@ func (pa *PatternAnalyzer) CacheHits() uint64 {
 }
 
 // DownscaleSafe reports whether a capacity of `capacity` bytes/second
-// would have sustained the job's input during the next HorizonHours at
+// would have sustained the job's input during the next horizonHours at
 // this time of day on every recorded past day. Days without data are
 // skipped; with no history at all the answer is true (the plan generator's
 // own veto still protects against breaking the job's current traffic).
@@ -119,24 +113,24 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	bucket := pa.bucketStart(now)
 
 	pa.mu.Lock()
-	if e, ok := pa.peaks[job]; ok && e.bucket == bucket && e.days == pa.HistoryDays && e.horizon == pa.HorizonHours {
+	if e, ok := pa.peaks[job]; ok && e.bucket == bucket {
 		pa.hits++
 		pa.mu.Unlock()
-		return !e.hasData || e.peak*pa.Safety <= capacity
+		return !e.hasData || e.peak*safety <= capacity
 	}
 	pa.mu.Unlock()
 
-	horizon := time.Duration(pa.HorizonHours * float64(time.Hour))
+	horizon := time.Duration(pa.horizonHours * float64(time.Hour))
 	series := InputRateSeries(job)
 	peak := 0.0
 	hasData := false
-	for d := 1; d <= pa.HistoryDays; d++ {
+	for d := 1; d <= pa.historyDays; d++ {
 		from := now.Add(-time.Duration(d) * 24 * time.Hour)
 		a := pa.store.RangeAgg(series, from, from.Add(horizon))
 		if a.Count == 0 {
 			continue
 		}
-		if a.Max*pa.Safety > capacity {
+		if a.Max*safety > capacity {
 			// Day-level short-circuit: this day alone vetoes the
 			// downscale. The scan is partial, so nothing is cached.
 			return false
@@ -148,7 +142,7 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	}
 
 	pa.mu.Lock()
-	pa.peaks[job] = peakEntry{bucket: bucket, days: pa.HistoryDays, horizon: pa.HorizonHours, peak: peak, hasData: hasData}
+	pa.peaks[job] = peakEntry{bucket: bucket, peak: peak, hasData: hasData}
 	pa.mu.Unlock()
 	return true
 }
@@ -156,7 +150,7 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 // Outlier reports whether current traffic deviates from the diurnal
 // pattern: the average input rate over the last 30 minutes differs from
 // the average over the same window on past days by more than
-// OutlierFactor. During an outlier (e.g. a disaster-recovery storm),
+// outlierFactor. During an outlier (e.g. a disaster-recovery storm),
 // history-based decision making is disabled (§V-C) and the scaler acts on
 // live signals only.
 //
@@ -176,13 +170,13 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 	bucket := pa.bucketStart(now)
 	pa.mu.Lock()
 	e, ok := pa.hists[job]
-	if ok && e.bucket == bucket && e.days == pa.HistoryDays {
+	if ok && e.bucket == bucket {
 		pa.hits++
 		pa.mu.Unlock()
 	} else {
 		pa.mu.Unlock()
-		e = histEntry{bucket: bucket, days: pa.HistoryDays}
-		for d := 1; d <= pa.HistoryDays; d++ {
+		e = histEntry{bucket: bucket}
+		for d := 1; d <= pa.historyDays; d++ {
 			to := now.Add(-time.Duration(d) * 24 * time.Hour)
 			a := pa.store.RangeAgg(series, to.Add(-window), to)
 			e.sum += a.Sum
@@ -200,7 +194,7 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 		return curAvg > 0
 	}
 	ratio := curAvg / histAvg
-	return ratio > pa.OutlierFactor || ratio < 1/pa.OutlierFactor
+	return ratio > outlierFactor || ratio < 1/outlierFactor
 }
 
 // RecentPeak returns the maximum input rate over the trailing window, used
@@ -209,8 +203,8 @@ func (pa *PatternAnalyzer) RecentPeak(job string, window time.Duration) (float64
 	return pa.store.WindowMax(InputRateSeries(job), window)
 }
 
-// Forget drops cached history aggregates for a job (e.g. after its series
-// was deleted). Safe to call for unknown jobs.
+// Forget drops cached history aggregates for a job (e.g. after the job
+// left the fleet). Safe to call for unknown jobs.
 func (pa *PatternAnalyzer) Forget(job string) {
 	pa.mu.Lock()
 	delete(pa.peaks, job)

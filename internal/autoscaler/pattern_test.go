@@ -15,9 +15,9 @@ import (
 // day's horizon out of the store with Range and compare its peak. The
 // fold-based DownscaleSafe must reach the same decision on every input.
 func legacyDownscaleSafe(pa *PatternAnalyzer, store *metrics.Store, now time.Time, job string, capacity float64) bool {
-	horizon := time.Duration(pa.HorizonHours * float64(time.Hour))
+	horizon := time.Duration(pa.horizonHours * float64(time.Hour))
 	series := InputRateSeries(job)
-	for d := 1; d <= pa.HistoryDays; d++ {
+	for d := 1; d <= pa.historyDays; d++ {
 		from := now.Add(-time.Duration(d) * 24 * time.Hour)
 		pts := store.Range(series, from, from.Add(horizon))
 		if len(pts) == 0 {
@@ -29,7 +29,7 @@ func legacyDownscaleSafe(pa *PatternAnalyzer, store *metrics.Store, now time.Tim
 				peak = p.Value
 			}
 		}
-		if peak*pa.Safety > capacity {
+		if peak*safety > capacity {
 			return false
 		}
 	}
@@ -52,7 +52,7 @@ func legacyOutlier(pa *PatternAnalyzer, store *metrics.Store, now time.Time, job
 	curAvg := curSum / float64(len(cur))
 
 	histSum, histN := 0.0, 0
-	for d := 1; d <= pa.HistoryDays; d++ {
+	for d := 1; d <= pa.historyDays; d++ {
 		to := now.Add(-time.Duration(d) * 24 * time.Hour)
 		// Per-day partial sums, matching the fold's association order.
 		daySum := 0.0
@@ -71,7 +71,7 @@ func legacyOutlier(pa *PatternAnalyzer, store *metrics.Store, now time.Time, job
 		return curAvg > 0
 	}
 	ratio := curAvg / histAvg
-	return ratio > pa.OutlierFactor || ratio < 1/pa.OutlierFactor
+	return ratio > outlierFactor || ratio < 1/outlierFactor
 }
 
 // randomHistory writes days of per-minute input-rate history for a job,
@@ -94,7 +94,7 @@ func TestDownscaleSafeMatchesLegacy(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	store := metrics.NewStore(clk, 15*24*time.Hour)
 	pa := NewPatternAnalyzer(store, clk)
-	pa.HistoryDays = 3
+	pa.historyDays = 3
 
 	rng := rand.New(rand.NewSource(7))
 	randomHistory(store, clk, "j1", 4, rng, 2) // one whole day missing
@@ -126,7 +126,7 @@ func TestOutlierMatchesLegacy(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	store := metrics.NewStore(clk, 15*24*time.Hour)
 	pa := NewPatternAnalyzer(store, clk)
-	pa.HistoryDays = 3
+	pa.historyDays = 3
 
 	rng := rand.New(rand.NewSource(11))
 	randomHistory(store, clk, "j1", 4, rng, -1)
@@ -154,8 +154,7 @@ func TestPatternCacheBucketBehavior(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	store := metrics.NewStore(clk, 15*24*time.Hour)
 	pa := NewPatternAnalyzer(store, clk)
-	pa.HistoryDays = 2
-	pa.BucketMinutes = 10
+	pa.historyDays = 2
 
 	// Two days of flat 5 MB/s history.
 	start := clk.Now()
@@ -164,7 +163,7 @@ func TestPatternCacheBucketBehavior(t *testing.T) {
 	}
 	clk.RunFor(2 * 24 * time.Hour)
 
-	// First consultation computes and caches (capacity above peak*Safety).
+	// First consultation computes and caches (capacity above peak*safety).
 	if !pa.DownscaleSafe("j1", 10*mb) {
 		t.Fatal("capacity above historical peak reported unsafe")
 	}
@@ -184,7 +183,7 @@ func TestPatternCacheBucketBehavior(t *testing.T) {
 	}
 
 	// Crossing the bucket boundary forces a recompute.
-	clk.RunFor(time.Duration(pa.BucketMinutes) * time.Minute)
+	clk.RunFor(bucketWidth)
 	if !pa.DownscaleSafe("j1", 10*mb) {
 		t.Fatal("recompute after bucket boundary reported unsafe")
 	}
@@ -242,8 +241,9 @@ func mixedFleet(t *testing.T, h *harness, n int) {
 }
 
 func TestParallelScanMatchesSequential(t *testing.T) {
-	seqH := newHarness(t, Options{DefaultP: 2 * mb, ScanParallelism: 1}, nil)
-	parH := newHarness(t, Options{DefaultP: 2 * mb, ScanParallelism: 8}, nil)
+	seqH := newHarness(t, Options{DefaultP: 2 * mb}, nil)
+	parH := newHarness(t, Options{DefaultP: 2 * mb}, nil)
+	seqH.scaler.scanParallelism, parH.scaler.scanParallelism = 1, 8
 	mixedFleet(t, seqH, 16)
 	mixedFleet(t, parH, 16)
 
@@ -281,7 +281,8 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 // Stress the parallel path under the race detector: repeated scans over a
 // fleet that keeps producing rebalances and alerts from many workers.
 func TestParallelScanRace(t *testing.T) {
-	h := newHarness(t, Options{DefaultP: 2 * mb, ScanParallelism: 8}, nil)
+	h := newHarness(t, Options{DefaultP: 2 * mb}, nil)
+	h.scaler.scanParallelism = 8
 	mixedFleet(t, h, 24)
 	for i := 0; i < 5; i++ {
 		h.scaler.Scan()

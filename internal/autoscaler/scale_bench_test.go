@@ -52,7 +52,7 @@ func benchFleet(b *testing.B, jobs, historyDays int, provision bool, opts Option
 	clk.RunFor(time.Duration(minutes) * time.Minute)
 	sc := New(js, source, store, clk, nil, nil, opts)
 	if historyDays > 0 {
-		sc.Pattern().HistoryDays = historyDays
+		sc.pattern.historyDays = historyDays
 	}
 	return sc, source, clk
 }
@@ -61,7 +61,7 @@ func benchFleet(b *testing.B, jobs, historyDays int, provision bool, opts Option
 // 2-hour horizon of per-minute points.
 func BenchmarkDownscaleSafe(b *testing.B) {
 	sc, _, _ := benchFleet(b, 1, 14, false, Options{})
-	pa := sc.Pattern()
+	pa := sc.pattern
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,7 +74,7 @@ func BenchmarkDownscaleSafe(b *testing.B) {
 // BenchmarkOutlier measures the 30-minute current-vs-history comparison.
 func BenchmarkOutlier(b *testing.B) {
 	sc, _, _ := benchFleet(b, 1, 14, false, Options{})
-	pa := sc.Pattern()
+	pa := sc.pattern
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

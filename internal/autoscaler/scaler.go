@@ -21,6 +21,22 @@ type Alert struct {
 	At     time.Time
 }
 
+// imbalanceThreshold on stddev/mean of per-task rates: above it, lag is
+// input skew and the fix is a partition rebalance, not more tasks (§V-A).
+const imbalanceThreshold = 0.5
+
+// memMargin multiplies observed memory (and disk) peaks into
+// reservations (§V-B).
+const memMargin = 1.3
+
+// memDownFraction: reclaim memory when the observed peak falls below
+// this fraction of the reservation (§V-B).
+const memDownFraction = 0.5
+
+// verticalCapFraction of a container a single task may grow to before
+// the scaler goes horizontal: 1/5 (§V-E).
+const verticalCapFraction = 0.2
+
 // Options tune the scaler. Zero values take defaults chosen to match the
 // paper's described behaviour.
 type Options struct {
@@ -29,8 +45,6 @@ type Options struct {
 	// RecoverySeconds is t in equation (3): the budget for draining a
 	// backlog once resources are added (default 600).
 	RecoverySeconds float64
-	// ImbalanceThreshold on stddev/mean of per-task rates (default 0.5).
-	ImbalanceThreshold float64
 	// DownscaleAfter is how long a job must be symptom-free before the
 	// scaler tries to reclaim resources (paper: "no OOM, no lag ... in a
 	// day"; default 24 h — experiments shorten it).
@@ -42,28 +56,13 @@ type Options struct {
 	// any runtime observation, standing in for the staging-period
 	// profiling (§V-B; default 2 MB/s).
 	DefaultP float64
-	// MemMargin multiplies observed memory peaks into reservations
-	// (default 1.3).
-	MemMargin float64
-	// MemDownFraction: reclaim memory when the observed peak falls below
-	// this fraction of the reservation (default 0.5).
-	MemDownFraction float64
 	// MemFloorBytes is the minimum per-task reservation (default 256 MB).
 	MemFloorBytes int64
-	// VerticalCapFraction of a container a single task may grow to before
-	// the scaler goes horizontal (default 0.2 = 1/5, §V-E).
-	VerticalCapFraction float64
 	// ContainerCapacity is the Turbine container size the vertical cap is
 	// computed against.
 	ContainerCapacity config.Resources
-	// ScanParallelism bounds the worker pool a Scan spreads per-job
-	// decisions over (default: workpool.DefaultParallelism). Signal
-	// gathering and deciding are independent per job; shared scaler state
-	// stays behind the scaler's lock. 1 scans sequentially.
-	ScanParallelism int
-	// OnAlert receives operator alerts. With ScanParallelism > 1 it may
-	// be called from multiple scan workers concurrently; handlers must be
-	// safe for concurrent use.
+	// OnAlert receives operator alerts. It may be called from multiple
+	// scan workers concurrently; handlers must be safe for concurrent use.
 	OnAlert func(Alert)
 	// HistoryHorizonHours is the Pattern Analyzer's x: a downscale must
 	// have sustained traffic for the next x hours on each recorded past
@@ -88,9 +87,6 @@ func (o *Options) fillDefaults() {
 	if o.RecoverySeconds <= 0 {
 		o.RecoverySeconds = 600
 	}
-	if o.ImbalanceThreshold <= 0 {
-		o.ImbalanceThreshold = 0.5
-	}
 	if o.DownscaleAfter <= 0 {
 		o.DownscaleAfter = 24 * time.Hour
 	}
@@ -100,23 +96,11 @@ func (o *Options) fillDefaults() {
 	if o.DefaultP <= 0 {
 		o.DefaultP = 2 << 20
 	}
-	if o.MemMargin <= 0 {
-		o.MemMargin = 1.3
-	}
-	if o.MemDownFraction <= 0 {
-		o.MemDownFraction = 0.5
-	}
 	if o.MemFloorBytes <= 0 {
 		o.MemFloorBytes = 256 << 20
 	}
-	if o.VerticalCapFraction <= 0 {
-		o.VerticalCapFraction = 0.2
-	}
 	if o.ContainerCapacity.IsZero() {
 		o.ContainerCapacity = config.Resources{CPUCores: 40, MemoryBytes: 200 << 30}
-	}
-	if o.ScanParallelism <= 0 {
-		o.ScanParallelism = workpool.DefaultParallelism()
 	}
 }
 
@@ -148,14 +132,15 @@ type Scaler struct {
 	stats  Stats
 	ticker simclock.Ticker
 
-	// Scan machinery, serialized by scanMu: the pool, the pre-bound
-	// per-index closure, and the scan's job list and per-index results,
-	// reused scan over scan.
-	scanMu   sync.Mutex
-	wp       workpool.Pool
-	scanFn   func(int)
-	scanJobs []string
-	scanOut  []Action
+	// Scan machinery, serialized by scanMu: the pool and its width, the
+	// pre-bound per-index closure, and the scan's job list and per-index
+	// results, reused scan over scan.
+	scanMu          sync.Mutex
+	wp              workpool.Pool
+	scanParallelism int // workpool.DefaultParallelism
+	scanFn          func(int)
+	scanJobs        []string
+	scanOut         []Action
 }
 
 // New builds a Scaler. rebalancer and authorizer may be nil (no input
@@ -169,24 +154,22 @@ func New(jobs *jobservice.Service, source SignalSource, store *metrics.Store,
 	}
 	pattern := NewPatternAnalyzer(store, clock)
 	if opts.HistoryHorizonHours > 0 {
-		pattern.HorizonHours = opts.HistoryHorizonHours
+		pattern.horizonHours = opts.HistoryHorizonHours
 	}
 	s := &Scaler{
-		jobs:       jobs,
-		source:     source,
-		pattern:    pattern,
-		clock:      clock,
-		opts:       opts,
-		rebalancer: rebalancer,
-		authorizer: authorizer,
-		state:      make(map[string]*jobState),
+		jobs:            jobs,
+		source:          source,
+		pattern:         pattern,
+		clock:           clock,
+		opts:            opts,
+		rebalancer:      rebalancer,
+		authorizer:      authorizer,
+		state:           make(map[string]*jobState),
+		scanParallelism: workpool.DefaultParallelism(),
 	}
 	s.scanFn = func(i int) { s.scanOut[i] = s.scanJob(s.scanJobs[i]) }
 	return s
 }
-
-// Pattern exposes the analyzer for tuning (experiments adjust horizons).
-func (s *Scaler) Pattern() *PatternAnalyzer { return s.pattern }
 
 // Start schedules periodic scans.
 func (s *Scaler) Start() {
@@ -230,12 +213,14 @@ func (s *Scaler) PEstimate(job string) (float64, bool) {
 // taken. This is Algorithm 2 extended with the proactive estimators and
 // the preactive pattern analyzer.
 //
-// Jobs are decided by a bounded worker pool (Options.ScanParallelism):
+// Jobs are decided by a bounded worker pool (workpool.DefaultParallelism):
 // signal gathering and the decision are per-job, mirroring how the State
 // Syncer parallelizes complex plans, while the per-job state map and the
 // cumulative stats stay behind the scaler's lock. The returned actions
 // are in JobNames order regardless of worker interleaving, so scans stay
 // deterministic for a given fleet state. Concurrent calls are serialized.
+// A job missing from JobNames loses its per-job state and cached history
+// at the end of the scan.
 func (s *Scaler) Scan() []Action {
 	s.scanMu.Lock()
 	defer s.scanMu.Unlock()
@@ -245,7 +230,7 @@ func (s *Scaler) Scan() []Action {
 		s.scanOut = make([]Action, n)
 	}
 	s.scanOut = s.scanOut[:n]
-	s.wp.ForEach(n, s.opts.ScanParallelism, 0, s.scanFn)
+	s.wp.ForEach(n, s.scanParallelism, 0, s.scanFn)
 	var actions []Action
 	for _, a := range s.scanOut {
 		if a.Type != ActionNone {
@@ -255,7 +240,52 @@ func (s *Scaler) Scan() []Action {
 	s.mu.Lock()
 	s.stats.Scans++
 	s.mu.Unlock()
+	s.pruneGone(s.scanJobs)
 	return actions
+}
+
+// pruneGone drops the per-job state and the analyzer's cached history of
+// every job not in jobs, so a job that left the fleet does not keep its
+// entries. A map can only hold such a job when it holds more keys than
+// jobs has names, so a steady fleet skips the set build.
+func (s *Scaler) pruneGone(jobs []string) {
+	pa := s.pattern
+	s.mu.Lock()
+	stale := len(s.state) > len(jobs)
+	s.mu.Unlock()
+	pa.mu.Lock()
+	stale = stale || len(pa.peaks) > len(jobs) || len(pa.hists) > len(jobs)
+	pa.mu.Unlock()
+	if !stale {
+		return
+	}
+	live := make(map[string]bool, len(jobs))
+	for _, job := range jobs {
+		live[job] = true
+	}
+	s.mu.Lock()
+	for job := range s.state {
+		if !live[job] {
+			delete(s.state, job)
+		}
+	}
+	s.mu.Unlock()
+	var gone []string
+	pa.mu.Lock()
+	for job := range pa.peaks {
+		if !live[job] {
+			gone = append(gone, job)
+		}
+	}
+	for job := range pa.hists {
+		if !live[job] {
+			gone = append(gone, job)
+		}
+	}
+	pa.mu.Unlock()
+	for _, job := range gone {
+		pa.Forget(job)
+	}
 }
 
 // scanJob gathers one job's signals and decides on them.
@@ -332,7 +362,7 @@ func diskOverReservation(sig Signals) bool {
 
 // handleDisk grows the per-task disk reservation from the observed peak.
 func (s *Scaler) handleDisk(job string, sig Signals, st *jobState, n int, now time.Time) Action {
-	newDisk := MemoryEstimate(sig.DiskPeakBytes, s.opts.MemMargin)
+	newDisk := MemoryEstimate(sig.DiskPeakBytes, memMargin)
 	if newDisk <= sig.TaskResources.DiskBytes {
 		return Action{Job: job, Type: ActionNone}
 	}
@@ -387,7 +417,7 @@ func (s *Scaler) handleLag(job string, sig Signals, st *jobState, timeLag float6
 	})
 
 	// Imbalanced input: rebalance rather than scale (Algorithm 2 line 4).
-	if n > 1 && sig.ImbalanceRatio() > s.opts.ImbalanceThreshold {
+	if n > 1 && sig.ImbalanceRatio() > imbalanceThreshold {
 		if s.rebalancer != nil {
 			if err := s.rebalancer.RebalanceInput(job); err == nil {
 				s.withLock(func() { s.stats.Rebalances++ })
@@ -399,7 +429,7 @@ func (s *Scaler) handleLag(job string, sig Signals, st *jobState, timeLag float6
 	// Resource estimate (equation 3): what does recovery need?
 	perTaskNeeded := (sig.InputRate + float64(sig.BacklogBytes)/s.opts.RecoverySeconds) / float64(n)
 	coresNeeded := CoresForPerTaskRate(perTaskNeeded, st.p)
-	vCapCores := s.opts.VerticalCapFraction * s.opts.ContainerCapacity.CPUCores
+	vCapCores := verticalCapFraction * s.opts.ContainerCapacity.CPUCores
 	curCores := sig.TaskResources.CPUCores
 
 	// Vertical first (§V-E): grow the per-task CPU allocation while it
@@ -468,8 +498,8 @@ func (s *Scaler) handleOOM(job string, sig Signals, st *jobState, n int, now tim
 	if peak < sig.TaskResources.MemoryBytes {
 		peak = sig.TaskResources.MemoryBytes
 	}
-	newMem := MemoryEstimate(peak, s.opts.MemMargin)
-	vCapMem := int64(s.opts.VerticalCapFraction * float64(s.opts.ContainerCapacity.MemoryBytes))
+	newMem := MemoryEstimate(peak, memMargin)
+	vCapMem := int64(verticalCapFraction * float64(s.opts.ContainerCapacity.MemoryBytes))
 
 	if newMem <= vCapMem {
 		to := sig.TaskResources
@@ -580,8 +610,8 @@ func (s *Scaler) handleHealthy(job string, sig Signals, st *jobState, n int, kEf
 	// Memory reclaim: reservation far above the observed peak.
 	reserved := sig.TaskResources.MemoryBytes
 	if reserved > s.opts.MemFloorBytes && sig.MemPeakBytes > 0 &&
-		float64(sig.MemPeakBytes) < s.opts.MemDownFraction*float64(reserved) {
-		newMem := MemoryEstimate(sig.MemPeakBytes, s.opts.MemMargin)
+		float64(sig.MemPeakBytes) < memDownFraction*float64(reserved) {
+		newMem := MemoryEstimate(sig.MemPeakBytes, memMargin)
 		if newMem < s.opts.MemFloorBytes {
 			newMem = s.opts.MemFloorBytes
 		}
@@ -605,7 +635,7 @@ func (s *Scaler) correlatedMemoryAdjust(job string, sig Signals, oldN, newN int)
 	if !sig.Stateful || newN <= oldN || sig.TaskResources.MemoryBytes <= 0 {
 		return
 	}
-	shrunk := int64(float64(sig.TaskResources.MemoryBytes) * float64(oldN) / float64(newN) * s.opts.MemMargin)
+	shrunk := int64(float64(sig.TaskResources.MemoryBytes) * float64(oldN) / float64(newN) * memMargin)
 	if shrunk < s.opts.MemFloorBytes {
 		shrunk = s.opts.MemFloorBytes
 	}

@@ -517,6 +517,49 @@ func TestPAdjustedDownAfterFailedDownscale(t *testing.T) {
 	}
 }
 
+// TestScanPrunesJobsThatLeft: a job missing from JobNames loses its
+// per-job state and the analyzer's cached history at the end of the scan;
+// jobs still listed keep theirs.
+func TestScanPrunesJobsThatLeft(t *testing.T) {
+	h := newHarness(t, Options{DefaultP: 8 * mb, DownscaleAfter: time.Minute}, nil)
+	for _, job := range []string{"A", "B"} {
+		h.provision(t, job, 4, 256, 0)
+		h.source.signals[job] = baseSignals()
+	}
+	h.scaler.Scan() // first sighting starts the quiet period
+	for i := 0; i < 40; i++ {
+		h.store.Record(InputRateSeries("A"), 8*mb)
+		h.store.Record(InputRateSeries("B"), 8*mb)
+		h.clk.RunFor(time.Minute)
+	}
+	h.scaler.Scan() // downscales consult (and cache) history for both
+	cached := func(job string) bool {
+		pa := h.scaler.pattern
+		pa.mu.Lock()
+		defer pa.mu.Unlock()
+		_, peak := pa.peaks[job]
+		_, hist := pa.hists[job]
+		return peak || hist
+	}
+	for _, job := range []string{"A", "B"} {
+		if _, ok := h.scaler.PEstimate(job); !ok || !cached(job) {
+			t.Fatalf("%s: state %v, cached %v before the drop", job, ok, cached(job))
+		}
+	}
+
+	delete(h.source.signals, "B")
+	h.scaler.Scan()
+	if _, ok := h.scaler.PEstimate("B"); ok {
+		t.Fatal("PEstimate(B) still reports state after B left the fleet")
+	}
+	if cached("B") {
+		t.Fatal("analyzer still caches history for B")
+	}
+	if _, ok := h.scaler.PEstimate("A"); !ok || !cached("A") {
+		t.Fatal("pruning dropped A, which is still in the fleet")
+	}
+}
+
 func TestCapacityDenialBlocksScaleUp(t *testing.T) {
 	h := newHarness(t, Options{DefaultP: 2 * mb}, denyAll{})
 	h.provision(t, "j1", 4, 256, 0)

@@ -48,17 +48,20 @@ type JobLister interface {
 	ListJobs() []JobInfo
 }
 
+// pressureThreshold: above this utilization fraction the cluster is
+// under pressure and unprivileged scale-ups are denied (§V-F).
+const pressureThreshold = 0.85
+
+// criticalThreshold: above this, low-priority jobs are stopped until
+// projected utilization returns below it (§V-F).
+const criticalThreshold = 0.95
+
+// priorityFloor: jobs at or above this priority are privileged — they
+// scale even under pressure and are never stopped (§V-F).
+const priorityFloor = 5
+
 // Options tune the manager.
 type Options struct {
-	// PressureThreshold: above this utilization fraction the cluster is
-	// under pressure and unprivileged scale-ups are denied (default 0.85).
-	PressureThreshold float64
-	// CriticalThreshold: above this, low-priority jobs are stopped until
-	// projected utilization returns below it (default 0.95).
-	CriticalThreshold float64
-	// PriorityFloor: jobs at or above this priority are privileged — they
-	// scale even under pressure and are never stopped (default 5).
-	PriorityFloor int
 	// CheckInterval between utilization checks (default 60 s).
 	CheckInterval time.Duration
 	// OnEvent, if set, receives capacity events for observability.
@@ -66,15 +69,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.PressureThreshold <= 0 {
-		o.PressureThreshold = 0.85
-	}
-	if o.CriticalThreshold <= 0 {
-		o.CriticalThreshold = 0.95
-	}
-	if o.PriorityFloor == 0 {
-		o.PriorityFloor = 5
-	}
 	if o.CheckInterval <= 0 {
 		o.CheckInterval = time.Minute
 	}
@@ -192,12 +186,12 @@ func maxF(a, b float64) float64 {
 // jobs always scale; others scale while the projected utilization stays
 // under the pressure threshold.
 func (m *Manager) AuthorizeScaleUp(job string, priority int, delta config.Resources) bool {
-	if priority >= m.opts.PriorityFloor {
+	if priority >= priorityFloor {
 		return true
 	}
 	total := m.usage.TotalCapacity()
 	projected := m.usage.Allocated().Add(delta)
-	if dominantUtilization(projected, total) <= m.opts.PressureThreshold {
+	if dominantUtilization(projected, total) <= pressureThreshold {
 		return true
 	}
 	m.mu.Lock()
@@ -216,7 +210,7 @@ func (m *Manager) Check() {
 	m.mu.Lock()
 	m.stats.Checks++
 	wasPressured := m.pressured
-	m.pressured = util > m.opts.PressureThreshold
+	m.pressured = util > pressureThreshold
 	if m.pressured {
 		m.stats.PressureRounds++
 	}
@@ -232,9 +226,9 @@ func (m *Manager) Check() {
 	}
 
 	switch {
-	case util > m.opts.CriticalThreshold && m.list != nil:
+	case util > criticalThreshold && m.list != nil:
 		m.stopLowPriority(util, now)
-	case util <= m.opts.PressureThreshold:
+	case util <= pressureThreshold:
 		m.restartParked(now)
 	}
 }
@@ -253,10 +247,10 @@ func (m *Manager) stopLowPriority(util float64, now time.Time) {
 		return jobs[i].Name < jobs[j].Name
 	})
 	for _, j := range jobs {
-		if dominantUtilization(alloc, total) <= m.opts.CriticalThreshold {
+		if dominantUtilization(alloc, total) <= criticalThreshold {
 			break
 		}
-		if j.Stopped || j.Priority >= m.opts.PriorityFloor {
+		if j.Stopped || j.Priority >= priorityFloor {
 			continue
 		}
 		if err := m.jobs.SetStopped(j.Name, true); err != nil {
@@ -300,7 +294,7 @@ func (m *Manager) restartParked(now time.Time) {
 	alloc := m.usage.Allocated()
 	for _, j := range names {
 		projected := alloc.Add(footprints[j])
-		if dominantUtilization(projected, total) > m.opts.PressureThreshold {
+		if dominantUtilization(projected, total) > pressureThreshold {
 			continue
 		}
 		if err := m.jobs.SetStopped(j, false); err != nil {

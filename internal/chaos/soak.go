@@ -296,9 +296,8 @@ func newCluster(opts Options, name string, faults bool) (*cluster.Cluster, *faul
 		Name:      name,
 		Hosts:     opts.Hosts,
 		StartTime: start,
-		// Change-driven 30 s rounds with a periodic full sweep — the
+		// Change-driven 30 s rounds with the rotating sweep — the
 		// production shape the durable sync state is designed for.
-		Syncer:       statesyncer.Options{FullSweepEvery: 10},
 		SyncerShards: opts.SyncerShards,
 	}
 	var inj *faultinject.Injector

@@ -69,9 +69,6 @@ type Config struct {
 	// one stripe slice of the fleet and stealing a peer's slice only
 	// when its lease expires.
 	SyncerShards int
-	// SyncerLeaseTTL tunes the shard-lease TTL (sharded topology only);
-	// zero defaults to 3× the round interval.
-	SyncerLeaseTTL time.Duration
 
 	Syncer   statesyncer.Options
 	Scaler   autoscaler.Options
@@ -532,7 +529,6 @@ func (c *Cluster) newSyncerNode(k int) *statesyncer.Node {
 		Shards:     c.Cfg.SyncerShards,
 		Index:      k,
 		ID:         fmt.Sprintf("%s-syncer-%d", c.Cfg.Name, k),
-		LeaseTTL:   c.Cfg.SyncerLeaseTTL,
 		Syncer:     c.Cfg.Syncer,
 		WrapDriver: c.Cfg.WrapShardDriver,
 	})

@@ -72,17 +72,21 @@ type Alert struct {
 	At      time.Time
 }
 
+// warnNotRunningPct: the tasks-not-running alert fires when this % of
+// desired tasks is not running (§VII).
+const warnNotRunningPct = 5
+
+// critNotRunningPct escalates the tasks-not-running alert to critical.
+const critNotRunningPct = 20
+
+// warnLaggingPct: the jobs-lagging alert fires when this % of jobs is out
+// of SLO (§VII).
+const warnLaggingPct = 1
+
 // Options tune the reporter.
 type Options struct {
 	// Interval between evaluations (default 60 s).
 	Interval time.Duration
-	// WarnNotRunningPct fires when this % of desired tasks is not
-	// running (default 5).
-	WarnNotRunningPct float64
-	// CritNotRunningPct escalates (default 20).
-	CritNotRunningPct float64
-	// WarnLaggingPct fires when this % of jobs is out of SLO (default 1).
-	WarnLaggingPct float64
 	// OnAlert receives newly raised (or resolved) alerts.
 	OnAlert func(Alert)
 	// OnResolve receives keys of alerts that cleared.
@@ -92,15 +96,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.Interval <= 0 {
 		o.Interval = time.Minute
-	}
-	if o.WarnNotRunningPct <= 0 {
-		o.WarnNotRunningPct = 5
-	}
-	if o.CritNotRunningPct <= 0 {
-		o.CritNotRunningPct = 20
-	}
-	if o.WarnLaggingPct <= 0 {
-		o.WarnLaggingPct = 1
 	}
 }
 
@@ -229,10 +224,10 @@ func (r *Reporter) Evaluate() Snapshot {
 	r.history++
 	r.mu.Unlock()
 
-	r.updateAlert("tasks-not-running", now, snap.PctNotRunning >= r.opts.WarnNotRunningPct,
-		levelFor(snap.PctNotRunning, r.opts.CritNotRunningPct),
+	r.updateAlert("tasks-not-running", now, snap.PctNotRunning >= warnNotRunningPct,
+		levelFor(snap.PctNotRunning, critNotRunningPct),
 		fmt.Sprintf("%.1f%% of desired tasks not running", snap.PctNotRunning))
-	r.updateAlert("jobs-lagging", now, snap.PctLagging >= r.opts.WarnLaggingPct,
+	r.updateAlert("jobs-lagging", now, snap.PctLagging >= warnLaggingPct,
 		LevelWarn,
 		fmt.Sprintf("%.1f%% of jobs out of SLO (%d jobs)", snap.PctLagging, len(snap.LaggingJobs)))
 	r.updateAlert("jobs-quarantined", now, len(snap.QuarantinedJobs) > 0,

@@ -50,8 +50,8 @@ func TestDirtyMarksAndConditionalClear(t *testing.T) {
 	if !s.ClearDirtyIf("b", marks[1].Seq) {
 		t.Fatal("ClearDirtyIf on an unmarked job should report cleared")
 	}
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty = %v, want [a]", got)
+	if got := takeDirty(t, s); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("dirty = %v, want [a]", got)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	// Schema-2 restore revives exactly the serialized change set: quiet
 	// must NOT come back dirty, so a restarted syncer's first round is an
 	// ordinary change-driven round, not an effective full sweep.
-	if got := s2.DrainDirty(); !reflect.DeepEqual(got, []string{"pending", "streaky"}) {
+	if got := takeDirty(t, s2); !reflect.DeepEqual(got, []string{"pending", "streaky"}) {
 		t.Fatalf("dirty after restore = %v, want [pending streaky]", got)
 	}
 	ss, ok := s2.SyncStateOf("pending")

@@ -654,44 +654,14 @@ func (s *Store) collectNames(size func(*stripe) int, appendKeys func(*stripe, []
 	return out
 }
 
-// MarkDirty flags a job for the State Syncer's next change-driven round
-// even though none of its store entries changed — an operator's manual
-// re-sync nudge.
-func (s *Store) MarkDirty(name string) {
-	st := s.stripeFor(name)
-	st.mu.Lock()
-	s.markLocked(st, name)
-	st.mu.Unlock()
-}
-
-// DrainDirty atomically takes the set of jobs marked changed since the
-// last drain and returns it sorted. Jobs are marked by Create, SetLayer,
-// Delete, ClearQuarantine, Restore, and MarkDirty — every write that can
-// make a job need synchronization. A write landing concurrently with the
-// drain is either included now or left marked for the next drain, never
-// lost.
-func (s *Store) DrainDirty() []string {
-	var out []string
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		if len(st.dirty) > 0 {
-			for name := range st.dirty {
-				out = append(out, name)
-			}
-			st.dirty = make(map[string]uint64)
-		}
-		st.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DirtyMarks returns the current change set without clearing it, sorted
-// by name. The State Syncer reads the marks at the start of a round and
-// clears each one only after the job's synchronization succeeded
+// by name. Jobs are marked by Create, SetLayer, Delete, ClearQuarantine
+// and Restore — every write that can make a job need synchronization.
+// The State Syncer reads the marks at the start of a round and clears
+// each one only after the job's synchronization succeeded
 // (ClearDirtyIf), so a crash mid-round leaves every unfinished job
-// marked for the successor syncer.
+// marked for the successor syncer, and a write landing mid-round
+// re-marks its job with a higher seq that the clear does not remove.
 func (s *Store) DirtyMarks() []DirtyMark {
 	return s.DirtyMarksInto(nil)
 }

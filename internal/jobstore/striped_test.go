@@ -9,6 +9,20 @@ import (
 	"repro/internal/config"
 )
 
+// takeDirty consumes the change set the way the State Syncer does: read
+// the marks, then clear each at the seq that was read.
+func takeDirty(t *testing.T, s *Store) []string {
+	t.Helper()
+	var names []string
+	for _, m := range s.DirtyMarks() {
+		if !s.ClearDirtyIf(m.Name, m.Seq) {
+			t.Fatalf("ClearDirtyIf(%s, %d) refused with no concurrent writer", m.Name, m.Seq)
+		}
+		names = append(names, m.Name)
+	}
+	return names
+}
+
 func TestDirtySetSemantics(t *testing.T) {
 	s := New()
 	if err := s.Create("b", config.Doc{"taskCount": 1}); err != nil {
@@ -17,11 +31,11 @@ func TestDirtySetSemantics(t *testing.T) {
 	if err := s.Create("a", config.Doc{"taskCount": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("DrainDirty after Create = %v, want [a b]", got)
+	if got := takeDirty(t, s); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("dirty after Create = %v, want [a b]", got)
 	}
-	if got := s.DrainDirty(); len(got) != 0 {
-		t.Fatalf("second DrainDirty = %v, want empty", got)
+	if got := takeDirty(t, s); len(got) != 0 {
+		t.Fatalf("dirty after clearing = %v, want empty", got)
 	}
 
 	// SetLayer marks dirty; CommitRunning does not.
@@ -29,16 +43,16 @@ func TestDirtySetSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.CommitRunning("b", config.Doc{"taskCount": 1}, 1)
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty after SetLayer+CommitRunning = %v, want [a]", got)
+	if got := takeDirty(t, s); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("dirty after SetLayer+CommitRunning = %v, want [a]", got)
 	}
 
 	// Delete marks dirty so teardown happens without a sweep.
 	if err := s.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Fatalf("DrainDirty after Delete = %v, want [b]", got)
+	if got := takeDirty(t, s); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Fatalf("dirty after Delete = %v, want [b]", got)
 	}
 
 	// ClearQuarantine marks dirty only when a quarantine was lifted.
@@ -51,13 +65,8 @@ func TestDirtySetSemantics(t *testing.T) {
 		t.Fatalf("SetQuarantine must not mark dirty, DirtyCount = %d", got)
 	}
 	s.ClearQuarantine("a")
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty after ClearQuarantine = %v, want [a]", got)
-	}
-
-	s.MarkDirty("a")
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty after MarkDirty = %v, want [a]", got)
+	if got := takeDirty(t, s); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("dirty after ClearQuarantine = %v, want [a]", got)
 	}
 }
 
@@ -168,12 +177,11 @@ func TestRestoreMarksEverythingDirtyAndRestampsRevisions(t *testing.T) {
 	}
 
 	s2 := New()
-	s2.DrainDirty()
 	if err := s2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.DrainDirty(); !reflect.DeepEqual(got, []string{"keep", "orphan"}) {
-		t.Fatalf("DrainDirty after Restore = %v, want [keep orphan]", got)
+	if got := takeDirty(t, s2); !reflect.DeepEqual(got, []string{"keep", "orphan"}) {
+		t.Fatalf("dirty after Restore = %v, want [keep orphan]", got)
 	}
 	rev1, ok1 := s2.RunningRevision("keep")
 	rev2, ok2 := s2.RunningRevision("orphan")
@@ -200,7 +208,7 @@ func TestStripeDistribution(t *testing.T) {
 
 // TestConcurrentFanIn exercises the striped store under the race detector:
 // concurrent CAS writes, shared merged reads, commits, name listings, and
-// dirty drains across overlapping jobs.
+// dirty-mark consumption across overlapping jobs.
 func TestConcurrentFanIn(t *testing.T) {
 	s := New()
 	const jobs = 256
@@ -230,7 +238,9 @@ func TestConcurrentFanIn(t *testing.T) {
 					s.GetRunningShared(name)
 					s.RunningRevision(name)
 				case 4:
-					s.DrainDirty()
+					for _, m := range s.DirtyMarks() {
+						s.ClearDirtyIf(m.Name, m.Seq)
+					}
 				}
 			}
 		}(w)
@@ -238,5 +248,72 @@ func TestConcurrentFanIn(t *testing.T) {
 	wg.Wait()
 	if got := len(s.ExpectedNames()); got != jobs {
 		t.Fatalf("ExpectedNames = %d, want %d", got, jobs)
+	}
+}
+
+// TestConcurrentWriteNeverLost: a write landing while a consumer reads the
+// marks and clears them is either seen by that consumer or left marked,
+// never lost. The consumer synchronizes like the State Syncer — peek the
+// marks, read each job's expected version, clear at the peeked seq — and
+// records a version only when its clear succeeded. Once the writers stop,
+// every unmarked job's last recorded version must be its final one.
+func TestConcurrentWriteNeverLost(t *testing.T) {
+	s := New()
+	const jobs = 64
+	for i := 0; i < jobs; i++ {
+		if err := s.Create(fmt.Sprintf("j%02d", i), config.Doc{"taskCount": 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[string]int64)
+	stop := make(chan struct{})
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, m := range s.DirtyMarks() {
+				v, _ := s.ExpectedVersion(m.Name)
+				if s.ClearDirtyIf(m.Name, m.Seq) {
+					seen[m.Name] = v
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				name := fmt.Sprintf("j%02d", (w*31+i)%jobs)
+				if _, err := s.SetLayer(name, config.LayerScaler, config.Doc{"taskCount": i}, AnyVersion); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-consumed
+
+	marked := make(map[string]bool)
+	for _, m := range s.DirtyMarks() {
+		marked[m.Name] = true
+	}
+	for i := 0; i < jobs; i++ {
+		name := fmt.Sprintf("j%02d", i)
+		if marked[name] {
+			continue
+		}
+		final, _ := s.ExpectedVersion(name)
+		if got, ok := seen[name]; !ok || got != final {
+			t.Fatalf("%s unmarked but consumer saw v%d (recorded %v), final v%d", name, got, ok, final)
+		}
 	}
 }

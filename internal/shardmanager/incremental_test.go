@@ -85,42 +85,22 @@ func TestConstrainedPlacementUpdatesSpreadCounts(t *testing.T) {
 	checkStateInvariants(t, m)
 }
 
+// TestHeadroomDefaults shows the paper's 10% capacity reserve is honored
+// by the balancer: a receiver sized exactly for the donated load refuses
+// it.
 func TestHeadroomDefaults(t *testing.T) {
 	clk := simclock.NewSim(epoch)
-	if got := New(clk, Options{}).opts.Headroom; got != 0.10 {
-		t.Fatalf("zero-value Headroom = %v, want paper default 0.10", got)
-	}
-	if got := New(clk, Options{Headroom: 0.25}).opts.Headroom; got != 0.25 {
-		t.Fatalf("explicit Headroom = %v, want 0.25", got)
-	}
-	if got := New(clk, Options{Headroom: HeadroomNone}).opts.Headroom; got != 0 {
-		t.Fatalf("HeadroomNone Headroom = %v, want 0", got)
-	}
-}
-
-// TestHeadroomNoneAllowsFullCapacity shows the sentinel is honored by the
-// balancer: a receiver sized exactly for the donated load takes it with
-// HeadroomNone but refuses it with the default 10% reserve.
-func TestHeadroomNoneAllowsFullCapacity(t *testing.T) {
-	run := func(headroom float64) int {
-		clk := simclock.NewSim(epoch)
-		m := New(clk, Options{NumShards: 2, Headroom: headroom})
-		m.Register("big", config.Resources{CPUCores: 40}, &fakeHandler{})
-		m.Register("snug", config.Resources{CPUCores: 4}, &fakeHandler{})
-		m.AssignUnassigned()
-		// Fail snug over and bring it back empty: both shards sit on big.
-		m.FailoverContainer("snug")
-		m.Register("snug", config.Resources{CPUCores: 4}, &fakeHandler{})
-		m.ReportShardLoad(0, config.Resources{CPUCores: 4})
-		m.ReportShardLoad(1, config.Resources{CPUCores: 4})
-		res := m.Rebalance()
-		return res.Moves
-	}
-	if moves := run(HeadroomNone); moves != 1 {
-		t.Fatalf("HeadroomNone: %d moves, want 1 (snug takes a full-capacity shard)", moves)
-	}
-	if moves := run(0); moves != 0 {
-		t.Fatalf("default headroom: %d moves, want 0 (10%% reserve refuses the shard)", moves)
+	m := New(clk, Options{NumShards: 2})
+	m.Register("big", config.Resources{CPUCores: 40}, &fakeHandler{})
+	m.Register("snug", config.Resources{CPUCores: 4}, &fakeHandler{})
+	m.AssignUnassigned()
+	// Fail snug over and bring it back empty: both shards sit on big.
+	m.FailoverContainer("snug")
+	m.Register("snug", config.Resources{CPUCores: 4}, &fakeHandler{})
+	m.ReportShardLoad(0, config.Resources{CPUCores: 4})
+	m.ReportShardLoad(1, config.Resources{CPUCores: 4})
+	if moves := m.Rebalance().Moves; moves != 0 {
+		t.Fatalf("%d moves, want 0 (10%% reserve refuses a full-capacity shard)", moves)
 	}
 }
 
@@ -200,7 +180,7 @@ func TestIncrementalStateAcrossFailoversAndReregisters(t *testing.T) {
 	m.FailoverContainer("c3")
 	checkStateInvariants(t, m)
 	m.Unregister("c4")
-	checkStateInvariants(t, m) // c4's shards stay mapped and indexed
+	checkStateInvariants(t, m)                                // c4's shards stay mapped and indexed
 	m.RegisterInRegion("c4", "east", cap26(), &fakeHandler{}) // region flip on re-register
 	for s := ShardID(0); s < 8; s++ {
 		m.SetShardRegion(s, "west")

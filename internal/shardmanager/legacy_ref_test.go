@@ -110,9 +110,8 @@ func legacyRebalance(st *refState) []Move {
 		total += scores[c.id]
 	}
 	mean := total / float64(len(alive))
-	band := st.opts.UtilizationBand
-	high := mean * (1 + band)
-	low := mean * (1 - band)
+	high := mean * (1 + utilizationBand)
+	low := mean * (1 - utilizationBand)
 
 	donors := make([]string, 0)
 	for _, c := range alive {
@@ -129,7 +128,7 @@ func legacyRebalance(st *refState) []Move {
 
 	capScore := make(map[string]float64, len(alive))
 	for _, c := range alive {
-		capScore[c.id] = score(c.capacity, ref) * (1 - st.opts.Headroom)
+		capScore[c.id] = score(c.capacity, ref) * (1 - headroom)
 	}
 
 	for _, donor := range donors {
@@ -142,9 +141,6 @@ func legacyRebalance(st *refState) []Move {
 		})
 		for _, sh := range shards {
 			if scores[donor] <= high {
-				break
-			}
-			if st.opts.MaxMovesPerRebalance > 0 && len(moved) >= st.opts.MaxMovesPerRebalance {
 				break
 			}
 			if sh.score == 0 {

@@ -287,9 +287,8 @@ func (m *Manager) Rebalance() RebalanceResult {
 		total += scores[c.id]
 	}
 	mean := total / float64(len(alive))
-	band := m.opts.UtilizationBand
-	high := mean * (1 + band)
-	low := mean * (1 - band)
+	high := mean * (1 + utilizationBand)
+	low := mean * (1 - utilizationBand)
 
 	// Donors above the band, sorted by score descending (worst first).
 	donors := make([]*containerState, 0)
@@ -307,7 +306,7 @@ func (m *Manager) Rebalance() RebalanceResult {
 
 	capScore := make(map[string]float64, len(alive))
 	for _, c := range alive {
-		capScore[c.id] = score(c.capacity, ref) * (1 - m.opts.Headroom)
+		capScore[c.id] = score(c.capacity, ref) * (1 - headroom)
 	}
 
 	if len(donors) > 0 {
@@ -411,9 +410,6 @@ func (m *Manager) drainDonorsLocked(res *RebalanceResult, alive, donors []*conta
 
 		for _, sh := range shards {
 			if scores[donor.id] <= high {
-				break
-			}
-			if m.opts.MaxMovesPerRebalance > 0 && res.Moves >= m.opts.MaxMovesPerRebalance {
 				break
 			}
 			if sh.score == 0 {

@@ -93,22 +93,18 @@ type Handler interface {
 	DropShard(ShardID) error
 }
 
-// HeadroomNone is the Options.Headroom sentinel for an explicit zero
-// headroom (any negative value works): "0" means "default 10%".
-const HeadroomNone = -1
+// utilizationBand is the allowed relative deviation of a container's
+// load from the mean: ±10% (§IV-B).
+const utilizationBand = 0.10
+
+// headroom is the fraction of each container's capacity kept free to
+// absorb workload spikes: 10% (§VI-A).
+const headroom = 0.10
 
 // Options tune the manager. Zero values take the paper's defaults.
 type Options struct {
 	// NumShards is the size of the shard space (default 1024).
 	NumShards int
-	// UtilizationBand is the allowed relative deviation of a container's
-	// load from the mean (default 0.10 = ±10%, §IV-B).
-	UtilizationBand float64
-	// Headroom is the fraction of each container's capacity kept free to
-	// absorb workload spikes (default 0.10, §VI-A). Because the zero
-	// value takes the default, pass HeadroomNone (or any negative value)
-	// to request an explicit zero headroom.
-	Headroom float64
 	// FailoverInterval is how long a container may miss heartbeats before
 	// its shards are failed over (default 60 s, §IV-C).
 	FailoverInterval time.Duration
@@ -118,22 +114,11 @@ type Options struct {
 	// RebalanceInterval is how often the shard→container mapping is
 	// re-generated from fresh loads (default 30 min, §IV-B).
 	RebalanceInterval time.Duration
-	// MaxMovesPerRebalance bounds churn in one balancing pass
-	// (default 0 = unbounded).
-	MaxMovesPerRebalance int
 }
 
 func (o *Options) fillDefaults() {
 	if o.NumShards <= 0 {
 		o.NumShards = 1024
-	}
-	if o.UtilizationBand <= 0 {
-		o.UtilizationBand = 0.10
-	}
-	if o.Headroom == 0 {
-		o.Headroom = 0.10
-	} else if o.Headroom < 0 {
-		o.Headroom = 0
 	}
 	if o.FailoverInterval <= 0 {
 		o.FailoverInterval = DefaultFailoverInterval

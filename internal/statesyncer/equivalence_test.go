@@ -46,9 +46,6 @@ func newLegacy(store *jobstore.Store, act Actuator, clock simclock.Clock, opts O
 	if opts.QuarantineAfter <= 0 {
 		opts.QuarantineAfter = 5
 	}
-	if opts.MaxParallelComplex <= 0 {
-		opts.MaxParallelComplex = 16
-	}
 	return &legacySyncer{
 		store:        store,
 		act:          act,
@@ -534,11 +531,18 @@ func runEquivalence(t *testing.T, seed int64, newOpts Options) {
 }
 
 func TestRoundEquivalenceRandomized(t *testing.T) {
-	for _, sweepEvery := range []int{1, 3, 1000} {
-		sweepEvery := sweepEvery
-		t.Run(fmt.Sprintf("sweepEvery=%d", sweepEvery), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"sweepRotation", Options{}},
+		// Every sweep slice refused: candidates come from dirty marks
+		// and durable sync state alone.
+		{"dirtyOnly", Options{SweepGate: func(int, int) bool { return false }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
-				runEquivalence(t, seed, Options{FullSweepEvery: sweepEvery})
+				runEquivalence(t, seed, tc.opts)
 			}
 		})
 	}
@@ -554,9 +558,11 @@ func TestRoundEquivalenceParallelDeterminism(t *testing.T) {
 	clk := simclock.NewSim(time.Unix(0, 0))
 
 	storeA, storeB := jobstore.New(), jobstore.New()
-	serial := New(storeA, newFlaky(), clk, Options{QuarantineAfter: 3, FullSweepEvery: 5, SyncParallelism: 1, RetryBackoffBase: NoBackoff})
-	wide := New(storeB, newFlaky(), clk, Options{QuarantineAfter: 3, FullSweepEvery: 5, SyncParallelism: 16, RetryBackoffBase: NoBackoff})
+	opts := Options{QuarantineAfter: 3, RetryBackoffBase: NoBackoff}
+	serial := New(storeA, newFlaky(), clk, opts)
+	wide := New(storeB, newFlaky(), clk, opts)
 	// Force the parallel path even on small fleets.
+	serial.parallelism, wide.parallelism = 1, 16
 	for r := 0; r < rounds; r++ {
 		for _, o := range script[r] {
 			applyOp(t, storeA, o)

@@ -44,7 +44,7 @@ func restoreInto(t *testing.T, src *jobstore.Store) *jobstore.Store {
 // snapshot must finish the job within ONE ordinary change-driven round,
 // without a full sweep.
 func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
-	svc, syncer, act, clk := newWorld(t, Options{FullSweepEvery: 10})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	store := svc.Store()
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
@@ -70,7 +70,7 @@ func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 
 	// Boot a replacement syncer from a snapshot of the durable store.
 	restored := restoreInto(t, store)
-	successor := New(restored, act, clk, Options{FullSweepEvery: 10})
+	successor := New(restored, act, clk, Options{})
 
 	res := successor.RunRound()
 	if res.Swept {
@@ -97,7 +97,7 @@ func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 // its previous configuration, i.e. the rollback — and the still-standing
 // dirty mark re-plans and completes the update in the same round.
 func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
-	svc, syncer, act, clk := newWorld(t, Options{FullSweepEvery: 10})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	store := svc.Store()
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
@@ -120,7 +120,7 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	}
 
 	restored := restoreInto(t, store)
-	successor := New(restored, act, clk, Options{FullSweepEvery: 10})
+	successor := New(restored, act, clk, Options{})
 	res := successor.RunRound()
 	if res.Swept {
 		t.Fatal("restored syncer's first round was a full sweep")

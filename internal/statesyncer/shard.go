@@ -114,6 +114,11 @@ func (d inprocDriver) RunSliceRound() (RoundResult, error) {
 	return res, nil
 }
 
+// leaseTTLRounds is how many round intervals a slice lease lasts without
+// renewal: a Node must miss two consecutive renewals before its slice
+// is stealable.
+const leaseTTLRounds = 3
+
 // NodeOptions configure one syncer Node of a sharded deployment.
 type NodeOptions struct {
 	// Shards is the total slice count N; Index in [0, N) is this Node's
@@ -123,10 +128,6 @@ type NodeOptions struct {
 	// ID is the lease-holder identity committed to the Job Store;
 	// defaults to "syncer-<Index>".
 	ID string
-	// LeaseTTL is how long a slice lease lasts without renewal; defaults
-	// to 3× the round interval, so a Node must miss two consecutive
-	// renewals before its slice is stealable.
-	LeaseTTL time.Duration
 	// Syncer configures each slice's round engine.
 	Syncer Options
 	// WrapDriver, if set, interposes on every slice's ShardDriver — the
@@ -181,10 +182,11 @@ type sliceState struct {
 // Start them on a shared clock; they coordinate purely through the Job
 // Store's lease table.
 type Node struct {
-	store *jobstore.Store
-	act   Actuator
-	clock simclock.Clock
-	opts  NodeOptions
+	store    *jobstore.Store
+	act      Actuator
+	clock    simclock.Clock
+	opts     NodeOptions
+	leaseTTL time.Duration // leaseTTLRounds × the round interval
 
 	// killed simulates a process crash. Like Syncer.killed it is an
 	// atomic outside the mutexes: Kill may be invoked re-entrantly from
@@ -212,10 +214,8 @@ func NewNode(store *jobstore.Store, act Actuator, clock simclock.Clock, opts Nod
 	if opts.Syncer.Interval <= 0 {
 		opts.Syncer.Interval = 30 * time.Second
 	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 3 * opts.Syncer.Interval
-	}
-	n := &Node{store: store, act: act, clock: clock, opts: opts}
+	n := &Node{store: store, act: act, clock: clock, opts: opts,
+		leaseTTL: leaseTTLRounds * opts.Syncer.Interval}
 	n.slices = make([]*sliceState, opts.Shards)
 	for k := 0; k < opts.Shards; k++ {
 		lo, hi := ShardStripeRange(k, opts.Shards)
@@ -311,7 +311,7 @@ func (n *Node) tickSlice(st *sliceState, home bool) {
 				return
 			}
 		}
-		lease, ok := n.store.AcquireShardLease(st.slice, n.opts.ID, now, n.opts.LeaseTTL)
+		lease, ok := n.store.AcquireShardLease(st.slice, n.opts.ID, now, n.leaseTTL)
 		if !ok {
 			return
 		}
@@ -342,7 +342,7 @@ func (n *Node) tickSlice(st *sliceState, home bool) {
 		// happen. No renewal — the lease keeps running down.
 		return
 	}
-	if !n.store.RenewShardLease(st.slice, n.opts.ID, st.epoch, n.clock.Now(), n.opts.LeaseTTL) {
+	if !n.store.RenewShardLease(st.slice, n.opts.ID, st.epoch, n.clock.Now(), n.leaseTTL) {
 		// Stolen mid-round. If that round committed anything, the commits
 		// raced the thief's: a lease violation.
 		st.held = false

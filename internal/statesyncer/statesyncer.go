@@ -20,10 +20,10 @@
 // a round examines only the marked jobs plus jobs with outstanding
 // failures or post-commit retries, so a converged fleet costs almost
 // nothing per round. Each round additionally sweeps a rotating
-// 1/FullSweepEvery slice of the fleet's sorted name snapshots — the
+// 1/sweepRotation slice of the fleet's sorted name snapshots — the
 // safety net that preserves the stateless-round durability argument:
 // even if a dirty mark were ever lost, a slice within the next
-// FullSweepEvery rounds rediscovers the divergence from the
+// sweepRotation rounds rediscovers the divergence from the
 // expected/running difference alone, exactly as the original full-scan
 // design did every round, but amortized so that no single round pays an
 // O(fleet) spike. Steady-state rounds reuse per-syncer scratch buffers
@@ -230,10 +230,21 @@ type Stats struct {
 	Quarantines   int
 	JobsExamined  int
 	JobsConverged int // syncs successfully applied
-	Sweeps        int // rounds that swept the entire fleet (FullSweepEvery <= 1)
-	SweepSlices   int // rotating sweep slices visited (FullSweepEvery > 1)
-	SweepJobs     int // jobs visited via sweeps, full or sliced
+	Sweeps        int // resync rounds that swept the syncer's entire stripe range
+	SweepSlices   int // rotating sweep slices visited
+	SweepJobs     int // jobs visited via sweeps, resync or sliced
 }
+
+// maxParallelComplex bounds concurrently executed complex plans per
+// round ("parallelize the complex ones", §III-B).
+const maxParallelComplex = 16
+
+// sweepRotation is the length of the rotating sweep: every round visits
+// one 1/sweepRotation slice of the fleet's sorted name snapshots in
+// addition to the changed jobs, so the entire fleet is re-examined
+// within sweepRotation rounds without any single round paying an
+// O(fleet) spike (the §III-B durability argument, amortized).
+const sweepRotation = 10
 
 // Options tune the syncer.
 type Options struct {
@@ -244,26 +255,12 @@ type Options struct {
 	QuarantineAfter int
 	// OnAlert, if set, receives quarantine alerts.
 	OnAlert func(Alert)
-	// MaxParallelComplex bounds concurrently executed complex plans per
-	// round ("parallelize the complex ones", §III-B); defaults to 16.
-	MaxParallelComplex int
-	// FullSweepEvery controls the rotating sweep: every round visits one
-	// 1/FullSweepEvery slice of the fleet's sorted name snapshots in
-	// addition to the changed jobs, so the entire fleet is re-examined
-	// within FullSweepEvery rounds without any single round paying an
-	// O(fleet) spike; defaults to 10. Set to 1 to sweep the whole fleet
-	// every round (the pre-change-tracking behavior).
-	FullSweepEvery int
 	// SweepGate, if set, is consulted before each round's sweep slice
 	// (pos in [0, of)); returning false skips the slice this round,
 	// leaving rediscovery to the next rotation. It is a fault-injection
 	// seam: the chaos harness drops slices to prove convergence does not
 	// depend on any particular sweep landing.
 	SweepGate func(pos, of int) bool
-	// SyncParallelism bounds the worker pool that builds plans and applies
-	// the batched simple commits; defaults to
-	// workpool.DefaultParallelism.
-	SyncParallelism int
 	// RetryBackoffBase is the backoff unit for repeatedly failing jobs: a
 	// job on its Nth consecutive failure (N >= 2) is not retried until
 	// roughly base·2^(N-2) after the failure, capped at RetryBackoffMax,
@@ -298,6 +295,10 @@ type Syncer struct {
 	stats  Stats
 	ticker simclock.Ticker
 
+	// parallelism bounds the worker pool that builds plans and applies
+	// the batched simple commits: workpool.DefaultParallelism.
+	parallelism int
+
 	// Shard scope: the syncer examines only jobs whose store stripe
 	// falls in [stripeLo, stripeHi). The default full-fleet syncer spans
 	// every stripe and skips the filtered-view machinery entirely.
@@ -317,7 +318,7 @@ type Syncer struct {
 	// parked helpers are reused round over round so the converged steady
 	// state allocates nothing.
 	roundMu   sync.Mutex
-	sweepPos  int // next rotating sweep slice, in [0, FullSweepEvery)
+	sweepPos  int // next rotating sweep slice, in [0, sweepRotation)
 	scratch   roundScratch
 	expView   stripeView
 	runView   stripeView
@@ -396,15 +397,6 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 	if opts.QuarantineAfter <= 0 {
 		opts.QuarantineAfter = 5
 	}
-	if opts.MaxParallelComplex <= 0 {
-		opts.MaxParallelComplex = 16
-	}
-	if opts.FullSweepEvery <= 0 {
-		opts.FullSweepEvery = 10
-	}
-	if opts.SyncParallelism <= 0 {
-		opts.SyncParallelism = workpool.DefaultParallelism()
-	}
 	if opts.RetryBackoffBase == 0 {
 		opts.RetryBackoffBase = opts.Interval
 	}
@@ -424,12 +416,13 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 		hi = jobstore.NumStripes
 	}
 	s := &Syncer{
-		store:    store,
-		act:      act,
-		clock:    clock,
-		opts:     opts,
-		stripeLo: lo,
-		stripeHi: hi,
+		store:       store,
+		act:         act,
+		clock:       clock,
+		opts:        opts,
+		parallelism: workpool.DefaultParallelism(),
+		stripeLo:    lo,
+		stripeHi:    hi,
 	}
 	s.scratch.markSeq = make(map[string]uint64)
 	// The worker closures are bound once, here, and read the per-round
@@ -702,11 +695,12 @@ type RoundResult struct {
 	Deleted  int
 	Failed   []string
 	Duration time.Duration
-	// Swept reports whether this round swept the entire fleet rather than
-	// a rotating slice (FullSweepEvery <= 1).
+	// Swept reports whether this was a resync round: a sharded syncer
+	// whose journal cursor could not be caught up swept its entire
+	// stripe range rather than a rotating slice.
 	Swept bool
 	// SweepJobs is the number of jobs this round visited via its sweep —
-	// the rotating slice, or the whole fleet when Swept.
+	// the rotating slice, or the whole stripe range when Swept.
 	SweepJobs int
 }
 
@@ -795,7 +789,7 @@ func (s *Syncer) RunRound() RoundResult {
 	// Candidate assembly. Every round visits the marked jobs (drained
 	// from this syncer's stripes only), every job with durable sync state
 	// in range, any job whose running entry moved in the change journal
-	// (sharded syncers), and one rotating 1/FullSweepEvery slice of the
+	// (sharded syncers), and one rotating 1/sweepRotation slice of the
 	// (stripe-filtered) sorted name snapshots — the durability safety
 	// net, amortized so no round pays an O(fleet) spike. Marks are only
 	// peeked here — each one is cleared individually once its job's
@@ -832,16 +826,9 @@ func (s *Syncer) RunRound() RoundResult {
 		}
 	}
 
-	n := s.opts.FullSweepEvery
-	full := n <= 1
-	pos := 0
-	if !full {
-		pos = s.sweepPos
-		s.sweepPos = (pos + 1) % n
-	} else {
-		n = 1
-	}
-	gated := s.opts.SweepGate != nil && !s.opts.SweepGate(pos, n)
+	pos := s.sweepPos
+	s.sweepPos = (pos + 1) % sweepRotation
+	gated := s.opts.SweepGate != nil && !s.opts.SweepGate(pos, sweepRotation)
 	var sweepExp, sweepRun []string
 	if !gated || resync {
 		// Expected and running are sliced independently over their own
@@ -860,8 +847,8 @@ func (s *Syncer) RunRound() RoundResult {
 		if resync {
 			sweepExp, sweepRun = expAll, runAll
 		} else {
-			sweepExp = sweepSlice(expAll, pos, n)
-			sweepRun = sweepSlice(runAll, pos, n)
+			sweepExp = sweepSlice(expAll, pos, sweepRotation)
+			sweepRun = sweepSlice(runAll, pos, sweepRotation)
 		}
 	}
 	swept := unionSortedInto(&sc.u1, sweepExp, sweepRun)
@@ -870,7 +857,7 @@ func (s *Syncer) RunRound() RoundResult {
 	sc.syncNames = s.store.SyncStateNamesRangeInto(s.stripeLo, s.stripeHi, sc.syncNames[:0])
 	candidates = unionSortedInto(&sc.u4, candidates, sc.syncNames)
 	sc.candidates = candidates
-	res.Swept = (full && !gated) || resync
+	res.Swept = resync
 	res.SweepJobs = len(swept)
 
 	// Build plans in parallel. Workers write disjoint slots, and the
@@ -887,7 +874,7 @@ func (s *Syncer) RunRound() RoundResult {
 			make([]config.Differ, len(candidates)-cap(sc.differs))...)
 	}
 	sc.differs = sc.differs[:len(candidates)]
-	s.wp.ForEach(len(candidates), s.opts.SyncParallelism, 32, s.planFn)
+	s.wp.ForEach(len(candidates), s.parallelism, 32, s.planFn)
 	if s.dead() {
 		return res
 	}
@@ -945,7 +932,7 @@ func (s *Syncer) RunRound() RoundResult {
 		} else {
 			sc.simpleErrs = sc.simpleErrs[:len(sc.simple)]
 		}
-		s.wp.ForEach(len(sc.simple), s.opts.SyncParallelism, 256, s.simpleFn)
+		s.wp.ForEach(len(sc.simple), s.parallelism, 256, s.simpleFn)
 		for i := range sc.simple {
 			if sc.simpleErrs[i] != nil {
 				s.handlePlanError(sc.simple[i].Job, sc.simpleErrs[i], &res)
@@ -957,14 +944,14 @@ func (s *Syncer) RunRound() RoundResult {
 	}
 
 	// Parallelize the complex synchronizations, bounded: each worker runs
-	// one plan at a time, so at most MaxParallelComplex are in flight.
+	// one plan at a time, so at most maxParallelComplex are in flight.
 	if len(sc.complexPlans) > 0 {
 		if cap(sc.complexErrs) < len(sc.complexPlans) {
 			sc.complexErrs = make([]error, len(sc.complexPlans))
 		} else {
 			sc.complexErrs = sc.complexErrs[:len(sc.complexPlans)]
 		}
-		s.wp.ForEach(len(sc.complexPlans), s.opts.MaxParallelComplex, 2, s.complexFn)
+		s.wp.ForEach(len(sc.complexPlans), maxParallelComplex, 2, s.complexFn)
 		for i := range sc.complexPlans {
 			if sc.complexErrs[i] != nil {
 				s.handlePlanError(sc.complexPlans[i].Job, sc.complexErrs[i], &res)
@@ -1008,7 +995,7 @@ func (s *Syncer) RunRound() RoundResult {
 	s.stats.Rounds++
 	if res.Swept {
 		s.stats.Sweeps++
-	} else if !full && !gated {
+	} else if !gated {
 		s.stats.SweepSlices++
 	}
 	s.stats.SweepJobs += len(swept)

@@ -407,9 +407,9 @@ func TestStatsAccumulate(t *testing.T) {
 func TestManyComplexPlansExecuteInParallelBounded(t *testing.T) {
 	// "Parallelize the complex ones" (§III-B): a round with many
 	// parallelism changes executes them concurrently, bounded by
-	// MaxParallelComplex, and every one commits.
-	svc, syncer, act, _ := newWorld(t, Options{MaxParallelComplex: 4})
-	const n = 24
+	// maxParallelComplex, and every one commits.
+	svc, syncer, act, _ := newWorld(t, Options{})
+	const n = 24 // more than maxParallelComplex
 	for i := 0; i < n; i++ {
 		svc.Provision(validConfig(fmt.Sprintf("j%02d", i)))
 	}

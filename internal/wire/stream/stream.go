@@ -27,6 +27,7 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -157,7 +158,11 @@ func NewFrameReader(conn net.Conn, timeout time.Duration, maxBody int) *FrameRea
 // io.ErrUnexpectedEOF.
 func (r *FrameReader) ReadFrame() (kind byte, body []byte, err error) {
 	if r.Timeout > 0 {
-		if err := r.conn.SetReadDeadline(time.Now().Add(r.Timeout)); err != nil {
+		// net.Pipe refuses a deadline once either end has closed. The
+		// read below then returns at once and tells a peer close (EOF)
+		// from a local one, which the deadline error cannot.
+		err := r.conn.SetReadDeadline(time.Now().Add(r.Timeout))
+		if err != nil && !errors.Is(err, io.ErrClosedPipe) {
 			return 0, nil, err
 		}
 	}

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 go build ./...
-go test -race ./...
+go test -race -shuffle=on ./...
 # The benchmark harness is its own module, so the root ./... patterns
 # skip it; vet and self-test it against the packages it drives.
 go -C perfbench vet ./...
@@ -21,7 +21,6 @@ go test -short ./... -run 'XXXNONE' -bench . -benchtime 1x
 # offline; this catches frame-decoder and round-trip regressions fast.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
-go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzSpecRoundTrip' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
 # The typed config decoder reads operator-supplied layers; its fuzz
 # target checks it against the encoding/json round trip it replaces.
